@@ -77,7 +77,8 @@ type rudpConn struct {
 	peerFin  bool
 	failed   error
 	stopOnce sync.Once
-	done     chan struct{}
+	done     chan struct{} // closed by Close
+	linkDown chan struct{} // closed by readLoop when the link itself closes
 	wg       sync.WaitGroup
 }
 
@@ -93,6 +94,7 @@ func NewRUDPConn(link PacketLink) FrameConn {
 		rto:      initialRTO,
 		outOfOrd: make(map[uint32][]byte),
 		done:     make(chan struct{}),
+		linkDown: make(chan struct{}),
 	}
 	c.cond = sync.NewCond(&c.mu)
 	c.wg.Add(2)
@@ -234,10 +236,16 @@ func (c *rudpConn) readLoop() {
 			if isDeadline(err) {
 				continue
 			}
+			// The link is gone: nothing more can be sent or received, so
+			// fail pending sends and stop retransmitting.
 			c.mu.Lock()
 			c.peerFin = true
+			if c.failed == nil {
+				c.failed = ErrClosed
+			}
 			c.cond.Broadcast()
 			c.mu.Unlock()
+			close(c.linkDown)
 			return
 		}
 		if len(p) < 1 {
@@ -393,6 +401,8 @@ func (c *rudpConn) retxLoop() {
 	for {
 		select {
 		case <-c.done:
+			return
+		case <-c.linkDown:
 			return
 		case <-ticker.C:
 		}

@@ -158,7 +158,17 @@ func (l *rudpListener) Close() error {
 	l.closed = true
 	l.mu.Unlock()
 	close(l.done)
-	return l.sock.Close()
+	err := l.sock.Close()
+	// Connections nobody accepted would otherwise keep their protocol
+	// goroutines forever. demuxLoop queues no more once closed is set.
+	for {
+		select {
+		case c := <-l.accepts:
+			c.Close()
+		default:
+			return err
+		}
+	}
 }
 
 func (l *rudpListener) removePeer(key string) {

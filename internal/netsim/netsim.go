@@ -165,7 +165,7 @@ type shapedQueue struct {
 	down     bool
 	rng      *RNG
 	packet   bool // preserve message boundaries and apply loss
-	dropped  int  // frames dropped by loss injection (packet mode)
+	dropped  int  // frames dropped by loss injection or overflow (packet mode)
 }
 
 func newShapedQueue(p Profile, rng *RNG, packet bool) *shapedQueue {
@@ -224,6 +224,21 @@ func (q *shapedQueue) send(data []byte, deadline time.Time) error {
 	mShapedFrames.Add(uint64(frames))
 	q.cond.Broadcast()
 	return nil
+}
+
+// overflowWait is how long a datagram waits for room in a full queue
+// before it is dropped: twice the time the link takes to deliver a full
+// queue. A longer wait means the receiver has stopped reading.
+func (q *shapedQueue) overflowWait() time.Duration {
+	drain := time.Duration(float64(q.maxQueue) / q.profile.BytesPerSec() * float64(time.Second))
+	return 2 * (drain + q.profile.Latency)
+}
+
+// countDrop records a datagram dropped for want of queue room.
+func (q *shapedQueue) countDrop() {
+	q.mu.Lock()
+	q.dropped++
+	q.mu.Unlock()
 }
 
 // waitLocked waits on the condition with an optional deadline.

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"errors"
 	"net"
 	"sync"
 	"time"
@@ -65,7 +66,8 @@ func (l *Link) Close() {
 	l.b2a.close()
 }
 
-// DroppedFrames reports frames lost to injected loss, both directions.
+// DroppedFrames reports frames lost to injected loss or queue overflow,
+// both directions.
 func (l *Link) DroppedFrames() int {
 	return l.a2b.droppedFrames() + l.b2a.droppedFrames()
 }
@@ -166,9 +168,18 @@ type PacketEnd struct {
 
 // Send transmits one datagram. Datagrams larger than the MTU are sent
 // whole (IP fragmentation is abstracted away) but pay the serialization
-// cost of their fragments. Loss applies per datagram.
+// cost of their fragments. Loss applies per datagram. A full queue
+// blocks the sender only until overflowWait; past that the receiver has
+// stopped reading and the datagram is dropped, as a full UDP socket
+// buffer drops it — two endpoints each blocked sending into the other's
+// full queue would otherwise never drain either.
 func (e *PacketEnd) Send(p []byte) error {
-	return e.tx.send(p, time.Time{})
+	err := e.tx.send(p, time.Now().Add(e.tx.overflowWait()))
+	if errors.Is(err, ErrTimeout) {
+		e.tx.countDrop()
+		return nil
+	}
+	return err
 }
 
 // Recv returns the next delivered datagram, honouring the read

@@ -92,7 +92,8 @@ type Assertion struct {
 
 // elemKey identifies an element within a URI's catalog. RCDS attributes
 // are multi-valued (a file has many locations, a process many comm
-// addresses), so identity is the (name, value) pair.
+// addresses), so identity is the (name, value) pair, and a URI's
+// elements are ordered by it.
 type elemKey struct {
 	name  string
 	value string

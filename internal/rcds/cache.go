@@ -3,6 +3,7 @@ package rcds
 import (
 	"context"
 	"errors"
+	"hash/maphash"
 	"sync"
 	"time"
 )
@@ -10,20 +11,28 @@ import (
 // Read-cache coherence (see DESIGN.md):
 //
 // A watch goroutine rides the server's Wait long-poll. While the watch
-// is healthy the cache serves Get/Values/FirstValue locally; whenever
-// the watched catalog version advances — any write, anywhere in the
-// replica group that reached our server — the cache is flushed and the
-// next read refetches. A watch error (server unreachable) or a replica
-// failover empties the cache and disables it until the watch
-// re-establishes, so a partitioned client never serves stale reads
-// forever. Reads are therefore stale by at most one Wait notification
-// latency, and a read observed after the watch has seen a write's
-// sequence number is guaranteed to reflect that write.
+// is healthy the cache serves Get/Values/FirstValue locally. Each poll
+// reply names the URIs that changed since the previous one — any write,
+// anywhere in the replica group, that reached our server — and exactly
+// those URIs are evicted; the next read of one refetches. The whole
+// cache is flushed instead when the reply cannot vouch for its list:
+// the server's change ring no longer reaches back to the previous
+// version, the version went backwards, or the cache was disabled since
+// the last poll (the first poll, a watch error, a failover: a new
+// replica's version numbering is not comparable to the old one's).
+// A watch error or a replica failover empties the cache and disables
+// it until the watch re-establishes, so a partitioned client never
+// serves stale reads forever. Reads are therefore stale by at most one
+// Wait notification latency, and a read issued after the watch has
+// seen a write's version reflects that write.
 //
-// Fills are epoch-guarded: a response that was in flight across a flush
-// must not repopulate the cache with pre-flush data, so each fill
-// carries the epoch observed when the request was issued and is
-// discarded if a flush intervened.
+// Fills are guarded: a response that was in flight across an eviction
+// of its URI, or across a flush, must not repopulate the cache with
+// older data. Each fill carries a token read when the request was
+// issued — the flush epoch and the generation of the URI's slot in a
+// fixed, URI-hashed table that every eviction bumps — and is discarded
+// if either moved. Slots are shared, so an eviction may also discard an
+// unrelated fill; it never lets a stale one through.
 
 // watchPoll is the server-side long-poll window of the watch loop.
 const watchPoll = 2 * time.Second
@@ -32,9 +41,13 @@ const watchPoll = 2 * time.Second
 // re-establishing.
 const watchRetry = 100 * time.Millisecond
 
-// maxCacheEntries bounds the read cache; at the bound, new fills are
-// dropped (the frequent version-advance flushes keep it small anyway).
+// maxCacheEntries bounds the number of reads the cache holds; a fill at
+// the bound evicts an arbitrary cached URI to make room.
 const maxCacheEntries = 4096
+
+// fillGuards is the size of the URI-hashed generation table guarding
+// fills.
+const fillGuards = 1024
 
 type cacheKind uint8
 
@@ -44,9 +57,9 @@ const (
 	kindFirst
 )
 
+// cacheKey names one cached read of a URI.
 type cacheKey struct {
 	kind cacheKind
-	uri  string
 	name string
 }
 
@@ -57,50 +70,66 @@ type cacheVal struct {
 	ok         bool        // kindFirst: value present
 }
 
-// readCache is the client-side read cache. valid is true only while the
-// watch loop is confirming coherence; epoch increments on every flush
-// so in-flight fills that straddle a flush are discarded.
+type cachedRead struct {
+	key cacheKey
+	val cacheVal
+}
+
+// fillToken is what a fill must still match when it is stored.
+type fillToken struct {
+	epoch uint64
+	gen   uint64
+}
+
+// guardSeed keys the fill-guard hash; any seed works, one per process.
+var guardSeed = maphash.MakeSeed()
+
+func guardSlot(uri string) int { return int(maphash.String(guardSeed, uri) % fillGuards) }
+
+// readCache is the client-side read cache, indexed by URI. valid is
+// true only while the watch loop is confirming coherence; epoch moves
+// on every whole-cache flush and gens[guardSlot(uri)] on every eviction
+// of uri, so fills that straddle either are discarded.
 type readCache struct {
 	mu      sync.Mutex
 	valid   bool
 	epoch   uint64
-	entries map[cacheKey]cacheVal
+	gens    [fillGuards]uint64
+	entries map[string][]cachedRead // uri → its cached reads
+	n       int                     // reads held across all URIs
 }
 
 func newReadCache() *readCache {
-	return &readCache{entries: make(map[cacheKey]cacheVal)}
+	return &readCache{entries: make(map[string][]cachedRead)}
 }
 
-// epochNow returns the current fill epoch; callers snapshot it before
-// issuing the remote read backing a fill.
-func (rc *readCache) epochNow() uint64 {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return rc.epoch
-}
-
-// flush empties the cache (version advanced) but keeps it enabled.
-func (rc *readCache) flush() {
-	rc.mu.Lock()
+// flushLocked empties the cache and discards every in-flight fill.
+// Caller holds rc.mu.
+func (rc *readCache) flushLocked() {
 	rc.epoch++
-	rc.entries = make(map[cacheKey]cacheVal)
-	rc.mu.Unlock()
+	rc.entries = make(map[string][]cachedRead)
+	rc.n = 0
+}
+
+// dropLocked forgets uri's cached reads. Caller holds rc.mu.
+func (rc *readCache) dropLocked(uri string) {
+	rc.n -= len(rc.entries[uri])
+	delete(rc.entries, uri)
+}
+
+// evictLocked invalidates uri: its cached reads and every fill of it
+// already in flight. Caller holds rc.mu.
+func (rc *readCache) evictLocked(uri string) {
+	rc.gens[guardSlot(uri)]++
+	rc.dropLocked(uri)
 }
 
 // invalidateAll empties and disables the cache until the watch loop
 // re-enables it (watch error, replica failover).
 func (rc *readCache) invalidateAll() {
 	rc.mu.Lock()
-	rc.epoch++
+	rc.flushLocked()
 	rc.valid = false
-	rc.entries = make(map[cacheKey]cacheVal)
-	rc.mu.Unlock()
-}
-
-// setValid re-enables serving after a successful watch poll.
-func (rc *readCache) setValid() {
-	rc.mu.Lock()
-	rc.valid = true
 	rc.mu.Unlock()
 }
 
@@ -108,75 +137,109 @@ func (rc *readCache) setValid() {
 // client), preserving read-your-writes ahead of the watch notification.
 func (rc *readCache) invalidateURI(uri string) {
 	rc.mu.Lock()
-	rc.epoch++
-	for k := range rc.entries {
-		if k.uri == uri {
-			delete(rc.entries, k)
-		}
-	}
+	rc.evictLocked(uri)
 	rc.mu.Unlock()
 }
 
-func (rc *readCache) lookup(k cacheKey) (cacheVal, bool) {
+// advance applies one successful watch poll that asked from since and
+// re-enables serving: it evicts the URIs the reply names, or flushes
+// everything when the reply cannot vouch for its list. A cache that is
+// not valid — never enabled, or disabled since the last poll — is
+// always flushed: a fill issued meanwhile may have read another
+// replica, whose changes a list relative to since does not describe.
+func (rc *readCache) advance(since uint64, r waitReply) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	if !rc.valid {
-		return cacheVal{}, false
+	if !rc.valid || r.version < since || !r.complete {
+		rc.flushLocked()
+	} else {
+		for _, uri := range r.uris {
+			rc.evictLocked(uri)
+		}
 	}
-	v, ok := rc.entries[k]
-	return v, ok
+	rc.valid = true
 }
 
-func (rc *readCache) store(k cacheKey, v cacheVal, epoch uint64) {
+// lookup returns the cached read k of uri, or on a miss the token the
+// fill must carry; the caller issues its remote read after this.
+func (rc *readCache) lookup(uri string, k cacheKey) (cacheVal, fillToken, bool) {
 	rc.mu.Lock()
-	if rc.valid && rc.epoch == epoch && len(rc.entries) < maxCacheEntries {
-		rc.entries[k] = v
+	defer rc.mu.Unlock()
+	if rc.valid {
+		for _, r := range rc.entries[uri] {
+			if r.key == k {
+				return r.val, fillToken{}, true
+			}
+		}
 	}
-	rc.mu.Unlock()
+	return cacheVal{}, fillToken{rc.epoch, rc.gens[guardSlot(uri)]}, false
 }
 
-func (rc *readCache) lookupGet(uri string) ([]Assertion, bool) {
-	v, ok := rc.lookup(cacheKey{kind: kindGet, uri: uri})
+func (rc *readCache) store(uri string, k cacheKey, v cacheVal, tok fillToken) {
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	if !rc.valid || tok != (fillToken{rc.epoch, rc.gens[guardSlot(uri)]}) {
+		return
+	}
+	reads := rc.entries[uri]
+	for i := range reads {
+		if reads[i].key == k {
+			reads[i].val = v
+			return
+		}
+	}
+	for rc.n >= maxCacheEntries {
+		for victim := range rc.entries { // map order: an arbitrary URI
+			rc.dropLocked(victim)
+			break
+		}
+	}
+	rc.entries[uri] = append(rc.entries[uri], cachedRead{key: k, val: v})
+	rc.n++
+}
+
+func (rc *readCache) lookupGet(uri string) ([]Assertion, fillToken, bool) {
+	v, tok, ok := rc.lookup(uri, cacheKey{kind: kindGet})
 	if !ok {
-		return nil, false
+		return nil, tok, false
 	}
-	return append([]Assertion(nil), v.assertions...), true
+	return append([]Assertion(nil), v.assertions...), tok, true
 }
 
-func (rc *readCache) storeGet(uri string, as []Assertion, epoch uint64) {
-	rc.store(cacheKey{kind: kindGet, uri: uri},
-		cacheVal{assertions: append([]Assertion(nil), as...)}, epoch)
+func (rc *readCache) storeGet(uri string, as []Assertion, tok fillToken) {
+	rc.store(uri, cacheKey{kind: kindGet},
+		cacheVal{assertions: append([]Assertion(nil), as...)}, tok)
 }
 
-func (rc *readCache) lookupValues(uri, name string) ([]string, bool) {
-	v, ok := rc.lookup(cacheKey{kind: kindValues, uri: uri, name: name})
+func (rc *readCache) lookupValues(uri, name string) ([]string, fillToken, bool) {
+	v, tok, ok := rc.lookup(uri, cacheKey{kind: kindValues, name: name})
 	if !ok {
-		return nil, false
+		return nil, tok, false
 	}
-	return append([]string(nil), v.values...), true
+	return append([]string(nil), v.values...), tok, true
 }
 
-func (rc *readCache) storeValues(uri, name string, vals []string, epoch uint64) {
-	rc.store(cacheKey{kind: kindValues, uri: uri, name: name},
-		cacheVal{values: append([]string(nil), vals...)}, epoch)
+func (rc *readCache) storeValues(uri, name string, vals []string, tok fillToken) {
+	rc.store(uri, cacheKey{kind: kindValues, name: name},
+		cacheVal{values: append([]string(nil), vals...)}, tok)
 }
 
-func (rc *readCache) lookupFirst(uri, name string) (string, bool, bool) {
-	v, ok := rc.lookup(cacheKey{kind: kindFirst, uri: uri, name: name})
+func (rc *readCache) lookupFirst(uri, name string) (string, bool, fillToken, bool) {
+	v, tok, ok := rc.lookup(uri, cacheKey{kind: kindFirst, name: name})
 	if !ok {
-		return "", false, false
+		return "", false, tok, false
 	}
-	return v.value, v.ok, true
+	return v.value, v.ok, tok, true
 }
 
-func (rc *readCache) storeFirst(uri, name, value string, present bool, epoch uint64) {
-	rc.store(cacheKey{kind: kindFirst, uri: uri, name: name},
-		cacheVal{value: value, ok: present}, epoch)
+func (rc *readCache) storeFirst(uri, name, value string, present bool, tok fillToken) {
+	rc.store(uri, cacheKey{kind: kindFirst, name: name},
+		cacheVal{value: value, ok: present}, tok)
 }
 
 // watchLoop keeps one replica group's read cache coherent: it
-// long-polls that group's catalog version and flushes the group's
-// cached reads whenever the version advances. The poll itself
+// long-polls that group's catalog version and evicts the group's cached
+// reads of every URI that changed (see advance). The poll itself
 // multiplexes over the group's shared connection, so watching costs no
 // dedicated connection and never blocks lookups. Under shard routing
 // every group runs its own watchLoop — the coherence rule is per
@@ -189,7 +252,7 @@ func (c *Client) watchLoop(ctx context.Context, g *replicaGroup) {
 			return
 		}
 		pollCtx, cancel := context.WithTimeout(ctx, watchPoll+c.pollTimeout())
-		v, err := c.waitOn(pollCtx, g, since, watchPoll)
+		r, err := c.waitOn(pollCtx, g, since, watchPoll, maxWatchURIs)
 		cancel()
 		if err != nil {
 			// Cannot confirm coherence; stop serving cached reads until
@@ -207,11 +270,8 @@ func (c *Client) watchLoop(ctx context.Context, g *replicaGroup) {
 			}
 			continue
 		}
-		if v != since {
-			g.cache.flush()
-			since = v
-		}
-		g.cache.setValid()
+		g.cache.advance(since, r)
+		since = r.version
 	}
 }
 

@@ -706,15 +706,15 @@ func (c *Client) Get(ctx context.Context, uri string) ([]Assertion, error) {
 	if err != nil {
 		return nil, err
 	}
-	if as, ok := g.cache.lookupGet(uri); ok {
+	as, tok, ok := g.cache.lookupGet(uri)
+	if ok {
 		c.mCacheHits.Inc()
 		return as, nil
 	}
 	c.mCacheMiss.Inc()
-	epoch := g.cache.epochNow()
-	as, err := c.getRemote(ctx, uri)
+	as, err = c.getRemote(ctx, uri)
 	if err == nil {
-		g.cache.storeGet(uri, as, epoch)
+		g.cache.storeGet(uri, as, tok)
 	}
 	return as, err
 }
@@ -736,15 +736,15 @@ func (c *Client) Values(ctx context.Context, uri, name string) ([]string, error)
 	if err != nil {
 		return nil, err
 	}
-	if vals, ok := g.cache.lookupValues(uri, name); ok {
+	vals, tok, ok := g.cache.lookupValues(uri, name)
+	if ok {
 		c.mCacheHits.Inc()
 		return vals, nil
 	}
 	c.mCacheMiss.Inc()
-	epoch := g.cache.epochNow()
-	vals, err := c.valuesRemote(ctx, uri, name)
+	vals, err = c.valuesRemote(ctx, uri, name)
 	if err == nil {
-		g.cache.storeValues(uri, name, vals, epoch)
+		g.cache.storeValues(uri, name, vals, tok)
 	}
 	return vals, err
 }
@@ -770,15 +770,15 @@ func (c *Client) FirstValue(ctx context.Context, uri, name string) (string, bool
 	if err != nil {
 		return "", false, err
 	}
-	if v, ok, hit := g.cache.lookupFirst(uri, name); hit {
+	v, ok, tok, hit := g.cache.lookupFirst(uri, name)
+	if hit {
 		c.mCacheHits.Inc()
 		return v, ok, nil
 	}
 	c.mCacheMiss.Inc()
-	epoch := g.cache.epochNow()
-	v, ok, err := c.firstRemote(ctx, uri, name)
+	v, ok, err = c.firstRemote(ctx, uri, name)
 	if err == nil {
-		g.cache.storeFirst(uri, name, v, ok, epoch)
+		g.cache.storeFirst(uri, name, v, ok, tok)
 	}
 	return v, ok, err
 }
@@ -881,7 +881,8 @@ func (c *Client) Apply(ctx context.Context, ops []Assertion) (int, error) {
 // complete normally. Under shard routing a version stream covers one
 // group only — use WaitURI to watch the group owning a specific URI.
 func (c *Client) Wait(ctx context.Context, since uint64, timeout time.Duration) (uint64, error) {
-	return c.waitOn(ctx, c.seedGroup(), since, timeout)
+	r, err := c.waitOn(ctx, c.seedGroup(), since, timeout, 0)
+	return r.version, err
 }
 
 // WaitURI long-polls the catalog version of the replica group owning
@@ -894,18 +895,22 @@ func (c *Client) WaitURI(ctx context.Context, uri string, since uint64, timeout 
 	if err := c.ensureShardMap(ctx); err != nil {
 		return 0, err
 	}
-	return c.waitOn(ctx, c.route(uri), since, timeout)
+	r, err := c.waitOn(ctx, c.route(uri), since, timeout, 0)
+	return r.version, err
 }
 
-func (c *Client) waitOn(ctx context.Context, g *replicaGroup, since uint64, timeout time.Duration) (uint64, error) {
+// waitOn long-polls group g's catalog version past since, asking for up
+// to maxURIs of the URIs that changed.
+func (c *Client) waitOn(ctx context.Context, g *replicaGroup, since uint64, timeout time.Duration, maxURIs int) (waitReply, error) {
 	d, err := c.roundTrip(ctx, g, request(cmdWait, func(e *xdr.Encoder) {
 		e.PutUint64(since)
 		e.PutUint32(uint32(timeout / time.Millisecond))
+		e.PutUint32(uint32(maxURIs))
 	}))
 	if err != nil {
-		return 0, err
+		return waitReply{}, err
 	}
-	return d.Uint64()
+	return decodeWaitReply(d)
 }
 
 // Stats returns (uris, live elements, tombstones) — summed across all

@@ -4,6 +4,7 @@ package rcds
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"snipe/internal/xdr"
@@ -94,5 +95,33 @@ func FuzzParseResponse(f *testing.F) {
 			return
 		}
 		parseResponse(b)
+	})
+}
+
+func FuzzDecodeWaitReply(f *testing.F) {
+	encode := func(r waitReply) []byte {
+		e := xdr.NewEncoder(64)
+		e.PutUint64(r.version)
+		e.PutBool(r.complete)
+		e.PutStringSlice(r.uris)
+		return e.Bytes()
+	}
+	f.Add(encode(waitReply{version: 42, complete: true, uris: []string{"snipe://hosts/a", "urn:b"}}))
+	f.Add(encode(waitReply{version: 7}))
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0xff, 0xff, 0xff, 0xff}) // hostile count
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 1})                                     // version only
+	f.Fuzz(func(t *testing.T, b []byte) {
+		r, err := decodeWaitReply(xdr.NewDecoder(b))
+		if err != nil {
+			return
+		}
+		if len(r.uris) > maxWatchURIs {
+			t.Fatalf("decoded %d URIs past the %d cap", len(r.uris), maxWatchURIs)
+		}
+		again, err := decodeWaitReply(xdr.NewDecoder(encode(r)))
+		if err != nil || again.version != r.version || again.complete != r.complete ||
+			fmt.Sprint(again.uris) != fmt.Sprint(r.uris) {
+			t.Fatalf("wait reply round-trip mismatch: %+v vs %+v (err %v)", r, again, err)
+		}
 	})
 }

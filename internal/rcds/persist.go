@@ -82,8 +82,7 @@ func LoadStore(r io.Reader) (*Store, error) {
 				return nil, err
 			}
 			s.mu.Lock()
-			s.recordLocked(op)
-			s.applyLocked(op)
+			s.logAndApplyLocked(op)
 			s.mu.Unlock()
 		}
 	}

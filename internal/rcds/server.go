@@ -433,10 +433,19 @@ func (s *Server) dispatch(body []byte) []byte {
 		if err != nil {
 			return errResponse(err)
 		}
+		maxURIs, err := d.Uint32()
+		if err != nil {
+			return errResponse(err)
+		}
 		// Long-polls run in per-request goroutines and must not outlive
 		// the server: s.done cuts them short at shutdown.
-		v := s.store.WaitVersionCancel(since, time.Duration(timeoutMs)*time.Millisecond, s.done)
-		return okResponse(func(e *xdr.Encoder) { e.PutUint64(v) })
+		v, uris, complete := s.store.WaitChanges(since, time.Duration(timeoutMs)*time.Millisecond,
+			s.done, int(min(maxURIs, maxWatchURIs)))
+		return okResponse(func(e *xdr.Encoder) {
+			e.PutUint64(v)
+			e.PutBool(complete)
+			e.PutStringSlice(uris)
+		})
 
 	case cmdStats:
 		uris, elems, tombs := s.store.Stats()

@@ -2,6 +2,7 @@ package rcds
 
 import (
 	"crypto/sha256"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -11,6 +12,15 @@ import (
 	"snipe/internal/xdr"
 )
 
+// changeRing is how many recent visible changes a Store remembers by
+// version, for WaitChanges: a watcher that falls further behind than
+// this gets an incomplete answer and must assume anything changed. A
+// watch that keeps polling lags by a handful of versions. The ring
+// lives inside Store and keeps it a small allocation: at 8192 entries
+// it would be a 128 KiB object in the page heap, which measurably
+// raised the peak RSS of processes that move 1 MiB payloads.
+const changeRing = 1024
+
 // Event reports a catalog change to a subscriber.
 type Event struct {
 	Assertion Assertion
@@ -19,18 +29,25 @@ type Event struct {
 // Store is one replica's catalog state: the merged element sets per
 // URI, the per-origin op logs used for anti-entropy, and the version
 // vector summarising them. All methods are safe for concurrent use.
+//
+// Every op is held once: the log and the catalog share one *Assertion,
+// which is never modified after it is stored. A URI's elements are a
+// slice kept in (name, value) order — a map per URI costs hundreds of
+// bytes even for the one-element URIs that dominate a large catalog —
+// so reads come out sorted and an attribute's values are adjacent.
 type Store struct {
 	mu      sync.Mutex
 	origin  string
 	lamport uint64
 	seq     uint64 // this origin's next op sequence number - 1
 
-	catalogs map[string]map[elemKey]*Assertion
-	log      map[string]map[uint64]Assertion // origin → seq → op (may have holes)
-	vv       VersionVector                   // contiguous high-water marks
-	floor    map[string]uint64               // origin → first log seq still servable (0 = from the start)
+	catalogs map[string][]*Assertion          // uri → elements, live and tombstoned, by (name, value)
+	log      map[string]map[uint64]*Assertion // origin → seq → op (may have holes)
+	vv       VersionVector                    // contiguous high-water marks
+	floor    map[string]uint64                // origin → first log seq still servable (0 = from the start)
 
-	version uint64 // bumped on every visible change
+	version uint64             // bumped on every visible change
+	changes [changeRing]string // URI of the change at version v, at v % changeRing
 	cond    *sync.Cond
 
 	subs   map[int]*subscription
@@ -44,8 +61,8 @@ type Store struct {
 	mRemoteOps     *stats.Counter
 	mRemoteApplied *stats.Counter
 	mLookups       *stats.Counter
-	mSnapInstall   *stats.Counter // ops installed from a peer snapshot page
-	mCompacted     *stats.Counter // log entries dropped by compaction
+	mSnapInstall   *stats.Counter   // ops installed from a peer snapshot page
+	mCompacted     *stats.Counter   // log entries dropped by compaction
 	hLookupUs      *stats.Histogram // catalog read latency
 	hReplLagUs     *stats.Histogram // origin mint → local apply, master-master lag
 }
@@ -59,8 +76,8 @@ type subscription struct {
 func NewStore(origin string) *Store {
 	s := &Store{
 		origin:   origin,
-		catalogs: make(map[string]map[elemKey]*Assertion),
-		log:      make(map[string]map[uint64]Assertion),
+		catalogs: make(map[string][]*Assertion),
+		log:      make(map[string]map[uint64]*Assertion),
 		vv:       make(VersionVector),
 		floor:    make(map[string]uint64),
 		subs:     make(map[int]*subscription),
@@ -84,11 +101,11 @@ func (s *Store) Origin() string { return s.origin }
 
 // newLocalOp mints a local assertion with fresh clock and sequence.
 // Caller holds s.mu.
-func (s *Store) newLocalOp(uri, name, value string, deleted bool) Assertion {
+func (s *Store) newLocalOp(uri, name, value string, deleted bool) *Assertion {
 	s.mLocalOps.Inc()
 	s.lamport++
 	s.seq++
-	return Assertion{
+	return &Assertion{
 		URI:        uri,
 		Name:       name,
 		Value:      value,
@@ -100,27 +117,27 @@ func (s *Store) newLocalOp(uri, name, value string, deleted bool) Assertion {
 	}
 }
 
-// applyLocked merges one assertion into the catalog and, when it came
-// from this store's own mint or is a remote op, records it in the log.
+// applyLocked merges one assertion into the catalog, keeping a itself
+// (not a copy), and remembers its URI under the new version in the
+// change ring. Every local, remote and snapshot op passes through here.
 // Returns true if the catalog visibly changed. Caller holds s.mu.
-func (s *Store) applyLocked(a Assertion) bool {
-	cat, ok := s.catalogs[a.URI]
-	if !ok {
-		cat = make(map[elemKey]*Assertion)
-		s.catalogs[a.URI] = cat
+func (s *Store) applyLocked(a *Assertion) bool {
+	elems := s.catalogs[a.URI]
+	i, exists := findElem(elems, a.Name, a.Value)
+	if exists {
+		if !a.Supersedes(elems[i]) {
+			return false
+		}
+		elems[i] = a
+	} else {
+		s.catalogs[a.URI] = slices.Insert(elems, i, a)
 	}
-	key := elemKey{a.Name, a.Value}
-	cur, exists := cat[key]
-	if exists && !a.Supersedes(cur) {
-		return false
-	}
-	cp := a
-	cat[key] = &cp
 	if a.Clock > s.lamport {
 		s.lamport = a.Clock
 	}
 	s.version++
-	s.notifyLocked(a)
+	s.changes[s.version%changeRing] = a.URI
+	s.notifyLocked(*a)
 	s.cond.Broadcast()
 	return true
 }
@@ -128,10 +145,10 @@ func (s *Store) applyLocked(a Assertion) bool {
 // recordLocked files op in the origin's log and advances the contiguous
 // version vector, draining any pending ops that become contiguous.
 // Caller holds s.mu.
-func (s *Store) recordLocked(a Assertion) {
+func (s *Store) recordLocked(a *Assertion) {
 	l, ok := s.log[a.Origin]
 	if !ok {
-		l = make(map[uint64]Assertion)
+		l = make(map[uint64]*Assertion)
 		s.log[a.Origin] = l
 	}
 	if _, dup := l[a.Seq]; dup {
@@ -145,6 +162,50 @@ func (s *Store) recordLocked(a Assertion) {
 		}
 		s.vv[a.Origin] = next
 	}
+}
+
+// findElem returns the index of element (name, value) in a URI's
+// sorted elements, or the index it would be inserted at.
+func findElem(elems []*Assertion, name, value string) (int, bool) {
+	return slices.BinarySearchFunc(elems, elemKey{name, value}, func(a *Assertion, k elemKey) int {
+		if c := strings.Compare(a.Name, k.name); c != 0 {
+			return c
+		}
+		return strings.Compare(a.Value, k.value)
+	})
+}
+
+// attrLocked returns uri's elements named name, live and tombstoned,
+// in value order. Caller holds s.mu.
+func (s *Store) attrLocked(uri, name string) []*Assertion {
+	elems := s.catalogs[uri]
+	lo, _ := findElem(elems, name, "")
+	hi := lo
+	for hi < len(elems) && elems[hi].Name == name {
+		hi++
+	}
+	return elems[lo:hi]
+}
+
+// commitLocked logs and applies freshly minted local ops, returning
+// copies for the caller to push. Caller holds s.mu.
+func (s *Store) commitLocked(ops []*Assertion) []Assertion {
+	out := make([]Assertion, len(ops))
+	for i, op := range ops {
+		s.recordLocked(op)
+		s.applyLocked(op)
+		out[i] = *op
+	}
+	return out
+}
+
+// logAndApplyLocked logs and applies a decoded op (a peer's push, a
+// snapshot page, a persisted log entry), returning whether the catalog
+// visibly changed. Caller holds s.mu.
+func (s *Store) logAndApplyLocked(op Assertion) bool {
+	a := &op
+	s.recordLocked(a)
+	return s.applyLocked(a)
 }
 
 func (s *Store) notifyLocked(a Assertion) {
@@ -164,18 +225,14 @@ func (s *Store) notifyLocked(a Assertion) {
 func (s *Store) Set(uri, name, value string) []Assertion {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var ops []Assertion
-	for key, cur := range s.catalogs[uri] {
-		if key.name == name && !cur.Deleted && key.value != value {
-			ops = append(ops, s.newLocalOp(uri, name, key.value, true))
+	var ops []*Assertion
+	for _, cur := range s.attrLocked(uri, name) {
+		if !cur.Deleted && cur.Value != value {
+			ops = append(ops, s.newLocalOp(uri, name, cur.Value, true))
 		}
 	}
 	ops = append(ops, s.newLocalOp(uri, name, value, false))
-	for _, op := range ops {
-		s.recordLocked(op)
-		s.applyLocked(op)
-	}
-	return ops
+	return s.commitLocked(ops)
 }
 
 // Add inserts value as an additional live value for (uri, name) —
@@ -184,10 +241,7 @@ func (s *Store) Set(uri, name, value string) []Assertion {
 func (s *Store) Add(uri, name, value string) []Assertion {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	op := s.newLocalOp(uri, name, value, false)
-	s.recordLocked(op)
-	s.applyLocked(op)
-	return []Assertion{op}
+	return s.commitLocked([]*Assertion{s.newLocalOp(uri, name, value, false)})
 }
 
 // AddSigned inserts a value carrying a detached signature (used for
@@ -198,9 +252,7 @@ func (s *Store) AddSigned(uri, name, value string, signer string, sig []byte) []
 	op := s.newLocalOp(uri, name, value, false)
 	op.Signer = signer
 	op.Signature = sig
-	s.recordLocked(op)
-	s.applyLocked(op)
-	return []Assertion{op}
+	return s.commitLocked([]*Assertion{op})
 }
 
 // Remove tombstones the (uri, name, value) element. Returns the ops to
@@ -208,31 +260,25 @@ func (s *Store) AddSigned(uri, name, value string, signer string, sig []byte) []
 func (s *Store) Remove(uri, name, value string) []Assertion {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cur, ok := s.catalogs[uri][elemKey{name, value}]
-	if !ok || cur.Deleted {
+	elems := s.catalogs[uri]
+	i, ok := findElem(elems, name, value)
+	if !ok || elems[i].Deleted {
 		return nil
 	}
-	op := s.newLocalOp(uri, name, value, true)
-	s.recordLocked(op)
-	s.applyLocked(op)
-	return []Assertion{op}
+	return s.commitLocked([]*Assertion{s.newLocalOp(uri, name, value, true)})
 }
 
 // RemoveAll tombstones every live value of (uri, name).
 func (s *Store) RemoveAll(uri, name string) []Assertion {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var ops []Assertion
-	for key, cur := range s.catalogs[uri] {
-		if key.name == name && !cur.Deleted {
-			ops = append(ops, s.newLocalOp(uri, name, key.value, true))
+	var ops []*Assertion
+	for _, cur := range s.attrLocked(uri, name) {
+		if !cur.Deleted {
+			ops = append(ops, s.newLocalOp(uri, name, cur.Value, true))
 		}
 	}
-	for _, op := range ops {
-		s.recordLocked(op)
-		s.applyLocked(op)
-	}
-	return ops
+	return s.commitLocked(ops)
 }
 
 // ApplyRemote merges ops received from a peer (push or anti-entropy),
@@ -246,8 +292,7 @@ func (s *Store) ApplyRemote(ops []Assertion) int {
 			continue // our own ops echoed back
 		}
 		s.mRemoteOps.Inc()
-		s.recordLocked(op)
-		if s.applyLocked(op) {
+		if s.logAndApplyLocked(op) {
 			changed++
 			s.mRemoteApplied.Inc()
 			// Replication lag: origin's mint time to our apply time. The
@@ -280,7 +325,6 @@ func (s *Store) Get(uri string) []Assertion {
 			out = append(out, *a)
 		}
 	}
-	sortAssertions(out)
 	return out
 }
 
@@ -290,12 +334,11 @@ func (s *Store) Values(uri, name string) []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var out []string
-	for key, a := range s.catalogs[uri] {
-		if key.name == name && !a.Deleted {
-			out = append(out, key.value)
+	for _, a := range s.attrLocked(uri, name) {
+		if !a.Deleted {
+			out = append(out, a.Value)
 		}
 	}
-	sort.Strings(out)
 	return out
 }
 
@@ -306,8 +349,8 @@ func (s *Store) FirstValue(uri, name string) (string, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var best *Assertion
-	for key, a := range s.catalogs[uri] {
-		if key.name == name && !a.Deleted {
+	for _, a := range s.attrLocked(uri, name) {
+		if !a.Deleted {
 			if best == nil || a.Supersedes(best) {
 				best = a
 			}
@@ -324,11 +367,11 @@ func (s *Store) URIs(prefix string) []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var out []string
-	for uri, cat := range s.catalogs {
+	for uri, elems := range s.catalogs {
 		if !strings.HasPrefix(uri, prefix) {
 			continue
 		}
-		for _, a := range cat {
+		for _, a := range elems {
 			if !a.Deleted {
 				out = append(out, uri)
 				break
@@ -365,7 +408,7 @@ func (s *Store) OpsSince(theirs VersionVector, max int) []Assertion {
 			if !ok {
 				break
 			}
-			out = append(out, op)
+			out = append(out, *op)
 			if max > 0 && len(out) >= max {
 				return out
 			}
@@ -385,13 +428,20 @@ func (s *Store) Version() uint64 {
 // timeout elapses, returning the current version. It is the long-poll
 // primitive behind metadata change notification.
 func (s *Store) WaitVersion(since uint64, timeout time.Duration) uint64 {
-	return s.WaitVersionCancel(since, timeout, nil)
+	v, _, _ := s.WaitChanges(since, timeout, nil, 0)
+	return v
 }
 
-// WaitVersionCancel is WaitVersion with a cancellation channel
-// (typically a server's shutdown signal): when cancel closes, the wait
-// returns early with the current version. A nil cancel never fires.
-func (s *Store) WaitVersionCancel(since uint64, timeout time.Duration, cancel <-chan struct{}) uint64 {
+// WaitChanges is WaitVersion with a cancellation channel and a report
+// of what changed. When cancel (typically a server's shutdown signal)
+// closes, the wait returns early; a nil cancel never fires. uris lists
+// the URIs of the visible changes in (since, version], at most max of
+// them, in version order with adjacent repeats folded. complete is
+// false when that list would be partial — the change ring no longer
+// reaches back to since, since is ahead of the store (another
+// replica's numbering), or the list would exceed max — and the caller
+// must then assume any URI changed.
+func (s *Store) WaitChanges(since uint64, timeout time.Duration, cancel <-chan struct{}, max int) (version uint64, uris []string, complete bool) {
 	deadline := time.Now().Add(timeout)
 	canceled := func() bool {
 		select {
@@ -429,7 +479,28 @@ func (s *Store) WaitVersionCancel(since uint64, timeout time.Duration, cancel <-
 		s.cond.Wait()
 		t.Stop()
 	}
-	return s.version
+	uris, complete = s.changesLocked(since, max)
+	return s.version, uris, complete
+}
+
+// changesLocked lists the URIs changed in (since, s.version] from the
+// change ring; see WaitChanges. Caller holds s.mu.
+func (s *Store) changesLocked(since uint64, max int) ([]string, bool) {
+	if since > s.version || s.version-since > changeRing {
+		return nil, false
+	}
+	var uris []string
+	for v := since + 1; v <= s.version; v++ {
+		uri := s.changes[v%changeRing]
+		if n := len(uris); n > 0 && uris[n-1] == uri {
+			continue
+		}
+		if len(uris) == max {
+			return nil, false
+		}
+		uris = append(uris, uri)
+	}
+	return uris, true
 }
 
 // Subscribe delivers every catalog change whose URI has the given
@@ -457,8 +528,8 @@ func (s *Store) Stats() (uris, elements, tombstones int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	uris = len(s.catalogs)
-	for _, cat := range s.catalogs {
-		for _, a := range cat {
+	for _, elems := range s.catalogs {
+		for _, a := range elems {
 			if a.Deleted {
 				tombstones++
 			} else {
@@ -542,8 +613,7 @@ func (s *Store) InstallSnapshotOps(ops []Assertion) int {
 			continue // our own ops: already in our log
 		}
 		s.mSnapInstall.Inc()
-		s.recordLocked(op)
-		if s.applyLocked(op) {
+		if s.logAndApplyLocked(op) {
 			changed++
 		}
 	}
@@ -646,33 +716,13 @@ func (s *Store) ContentHash() [32]byte {
 	h := sha256.New()
 	e := xdr.NewEncoder(256)
 	for _, uri := range uris {
-		cat := s.catalogs[uri]
-		elems := make([]Assertion, 0, len(cat))
-		for _, a := range cat {
-			elems = append(elems, *a)
-		}
-		sort.Slice(elems, func(i, j int) bool {
-			if elems[i].Name != elems[j].Name {
-				return elems[i].Name < elems[j].Name
-			}
-			return elems[i].Value < elems[j].Value
-		})
-		for i := range elems {
+		for _, a := range s.catalogs[uri] { // already in (name, value) order
 			e.Reset()
-			elems[i].Encode(e)
+			a.Encode(e)
 			h.Write(e.Bytes())
 		}
 	}
 	var out [32]byte
 	h.Sum(out[:0])
 	return out
-}
-
-func sortAssertions(as []Assertion) {
-	sort.Slice(as, func(i, j int) bool {
-		if as[i].Name != as[j].Name {
-			return as[i].Name < as[j].Name
-		}
-		return as[i].Value < as[j].Value
-	})
 }

@@ -188,6 +188,33 @@ func wrongShardResponse(group int, epoch uint64) []byte {
 	return e.Bytes()
 }
 
+// maxWatchURIs caps the changed-URI list one Wait reply carries; a
+// longer list is replaced by an incomplete reply.
+const maxWatchURIs = 1024
+
+// waitReply is the payload of a Wait long-poll reply: the catalog
+// version, whether uris lists every change in (since, version], and
+// those changed URIs. The request names how many URIs it wants, so a
+// plain version wait (max 0) gets an empty, usually incomplete list.
+type waitReply struct {
+	version  uint64
+	complete bool
+	uris     []string
+}
+
+func decodeWaitReply(d *xdr.Decoder) (waitReply, error) {
+	var r waitReply
+	var err error
+	if r.version, err = d.Uint64(); err != nil {
+		return r, err
+	}
+	if r.complete, err = d.Bool(); err != nil {
+		return r, err
+	}
+	r.uris, err = d.StringSliceMax(maxWatchURIs, maxWireURI)
+	return r, err
+}
+
 // parseResponse splits a response into a decoder positioned at the
 // payload, or the server-side error.
 func parseResponse(body []byte) (*xdr.Decoder, error) {
