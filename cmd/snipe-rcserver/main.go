@@ -7,9 +7,10 @@
 //	snipe-rcserver -addr 127.0.0.1:7001 -origin rc1 \
 //	    -peers 127.0.0.1:7002,127.0.0.1:7003 -secret s3cret
 //
-// A sharded catalog deployment passes the shard map and this replica's
-// group, and usually bounds the op log so rejoining replicas catch up
-// via snapshot:
+// The op log keeps the last -compact-keep ops per origin (4096 by
+// default); a replica that falls further behind catches up via
+// snapshot. A sharded catalog deployment passes the shard map and this
+// replica's group:
 //
 //	snipe-rcserver -addr h1:7001 -origin rc0-0 -peers h2:7001 \
 //	    -shard-map "v1 epoch=1 groups=h1:7001,h2:7001|h3:7001,h4:7001" \
@@ -39,7 +40,7 @@ func main() {
 	saveEvery := flag.Duration("save-every", 10*time.Second, "snapshot interval when -data is set")
 	shardMap := flag.String("shard-map", "", `shard map this replica enforces, e.g. "v1 epoch=1 groups=a:1,a:2|b:1,b:2"`)
 	shardSelf := flag.Int("shard-self", 0, "this replica's group index in -shard-map")
-	compactKeep := flag.Int("compact-keep", 0, "op-log tail to keep per origin (0 = never compact; rejoiners replay history)")
+	compactKeep := flag.Int("compact-keep", rcds.DefaultCompactKeep, "op-log tail to keep per origin (<= 0: never compact; rejoiners replay history)")
 	flag.Parse()
 
 	id := *origin
@@ -67,9 +68,7 @@ func main() {
 		shard = m
 		opts = append(opts, rcds.WithShard(*shardSelf, m))
 	}
-	if *compactKeep > 0 {
-		opts = append(opts, rcds.WithLogCompaction(*compactKeep))
-	}
+	opts = append(opts, rcds.WithLogCompaction(*compactKeep))
 	store := rcds.NewStore(id)
 	if *dataFile != "" {
 		loaded, err := rcds.LoadFile(*dataFile, id)

@@ -286,3 +286,26 @@ func TestPartitionRejoinViaSnapshot(t *testing.T) {
 		t.Fatal("rejoiner never learned the survivor's origin")
 	}
 }
+
+// TestServerCompactsByDefault: a server given no compaction option trims
+// its log to DefaultCompactKeep ops per origin, and one with
+// anti-entropy off still starts and stops its compaction loop.
+func TestServerCompactsByDefault(t *testing.T) {
+	s := NewServer(NewStore("rc0"), WithAntiEntropyInterval(10*time.Millisecond))
+	for i := 0; i < DefaultCompactKeep; i++ {
+		s.Store().Set("urn:x", "k", fmt.Sprint(i)) // 2 ops each after the first
+	}
+	if err := s.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	testutil.WaitFor(t, 5*time.Second, func() bool {
+		return s.Store().LogLen() == DefaultCompactKeep
+	}, "log never compacted to the default tail")
+
+	quiet := NewServer(NewStore("rc1"), WithAntiEntropyInterval(0))
+	if err := quiet.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	quiet.Close()
+}

@@ -5,6 +5,8 @@ package rcds
 import (
 	"bytes"
 	"fmt"
+	"maps"
+	"os"
 	"testing"
 
 	"snipe/internal/xdr"
@@ -122,6 +124,45 @@ func FuzzDecodeWaitReply(f *testing.F) {
 		if err != nil || again.version != r.version || again.complete != r.complete ||
 			fmt.Sprint(again.uris) != fmt.Sprint(r.uris) {
 			t.Fatalf("wait reply round-trip mismatch: %+v vs %+v (err %v)", r, again, err)
+		}
+	})
+}
+
+// FuzzLoadStore decodes arbitrary bytes as a snapshot in either format.
+// Whatever loads must survive a save and reload unchanged.
+func FuzzLoadStore(f *testing.F) {
+	if v1, err := os.ReadFile("testdata/snapshot-v1.bin"); err == nil {
+		f.Add(v1)
+	}
+	s := NewStore("rc1")
+	s.Set("urn:a", "k", "v1")
+	s.Set("urn:a", "k", "v2")
+	s.ApplyRemote([]Assertion{{URI: "urn:b", Name: "k", Value: "w", Clock: 9, Origin: "rc2", Seq: 1}})
+	s.Compact(1)
+	var buf bytes.Buffer
+	if err := s.SaveTo(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add(buf.Bytes()[:buf.Len()/2])
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		s, err := LoadStore(bytes.NewReader(b))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := s.SaveTo(&out); err != nil {
+			t.Fatal(err)
+		}
+		again, err := LoadStore(&out)
+		if err != nil {
+			t.Fatalf("reload of a saved store failed: %v", err)
+		}
+		if again.ContentHash() != s.ContentHash() || !maps.Equal(again.Vector(), s.Vector()) ||
+			again.LogLen() != s.LogLen() {
+			t.Fatalf("save/reload changed the store: vector %v → %v, log %d → %d",
+				s.Vector(), again.Vector(), s.LogLen(), again.LogLen())
 		}
 	})
 }

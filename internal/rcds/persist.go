@@ -11,14 +11,20 @@ import (
 
 // Persistence: SNIPE targets "long-term distributed computing
 // applications and data stores", so an RC server must survive restarts
-// with its catalog intact. A snapshot serialises the replica's op logs
-// (from which the catalog, version vector and Lamport clock are all
-// reconstructed deterministically); a restarted replica then converges
-// with its peers through normal anti-entropy, catching up on whatever
-// it missed while down.
+// with its catalog intact. A snapshot holds the replica's clocks, its
+// version vector and serving floor, every catalog element (winners and
+// tombstones) and the retained op-log tail. The catalog is saved whole
+// because log compaction drops ops whose elements are still in it; a
+// restarted replica then converges with its peers through normal
+// anti-entropy, catching up on whatever it missed while down.
 
-// snapshotMagic guards against loading foreign files.
-const snapshotMagic = "SNIPE-RC-SNAPSHOT-1"
+// Snapshot magics guard against loading foreign files. Version 1 files
+// hold only the op logs, from which the catalog, version vector and
+// clocks are replayed; they are still loaded.
+const (
+	snapshotMagic   = "SNIPE-RC-SNAPSHOT-2"
+	snapshotMagicV1 = "SNIPE-RC-SNAPSHOT-1"
+)
 
 // SaveTo writes a snapshot of the replica's state.
 func (s *Store) SaveTo(w io.Writer) error {
@@ -28,6 +34,13 @@ func (s *Store) SaveTo(w io.Writer) error {
 	e.PutString(s.origin)
 	e.PutUint64(s.lamport)
 	e.PutUint64(s.seq)
+	s.vv.Encode(e)
+	VersionVector(s.floor).Encode(e)
+	_, elements, tombstones := s.statsLocked()
+	e.PutUint32(uint32(elements + tombstones))
+	for uri := range s.catalogs {
+		s.eachElemLocked(uri, func(a *Assertion) { a.Encode(e) })
+	}
 	e.PutUint32(uint32(len(s.log)))
 	for origin, l := range s.log {
 		e.PutString(origin)
@@ -41,8 +54,8 @@ func (s *Store) SaveTo(w io.Writer) error {
 	return err
 }
 
-// LoadStore reads a snapshot written by SaveTo and reconstructs the
-// replica.
+// LoadStore reads a snapshot written by SaveTo, in either format, and
+// reconstructs the replica.
 func LoadStore(r io.Reader) (*Store, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -50,59 +63,102 @@ func LoadStore(r io.Reader) (*Store, error) {
 	}
 	d := xdr.NewDecoder(data)
 	magic, err := d.StringMax(64)
-	if err != nil || magic != snapshotMagic {
+	if err != nil || magic != snapshotMagic && magic != snapshotMagicV1 {
 		return nil, fmt.Errorf("rcds: not an RC snapshot (magic %q, err %v)", magic, err)
 	}
 	origin, err := d.StringMax(maxWireURI)
 	if err != nil {
 		return nil, err
 	}
-	s := NewStore(origin)
-	if s.lamport, err = d.Uint64(); err != nil {
-		return nil, err
-	}
-	if s.seq, err = d.Uint64(); err != nil {
-		return nil, err
-	}
-	nOrigins, err := d.Uint32()
+	lamport, err := d.Uint64()
 	if err != nil {
 		return nil, err
 	}
+	seq, err := d.Uint64()
+	if err != nil {
+		return nil, err
+	}
+	s := NewStore(origin)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if magic == snapshotMagicV1 {
+		err = readOps(d, func(op Assertion) { s.logAndApplyLocked(op) })
+	} else {
+		err = s.loadLocked(d)
+	}
+	if err != nil {
+		return nil, err
+	}
+	// The saved counters take precedence over what loading inferred
+	// (which can only raise lamport to the highest op clock).
+	s.lamport = max(s.lamport, lamport)
+	s.seq = max(s.seq, seq)
+	return s, nil
+}
+
+// loadLocked restores the body of a current-format snapshot: vector,
+// floor, catalog, then the log tail, whose entries share the catalog's
+// *Assertion where the catalog holds the same op. Caller holds s.mu.
+func (s *Store) loadLocked(d *xdr.Decoder) error {
+	vv, err := DecodeVersionVector(d)
+	if err != nil {
+		return err
+	}
+	floor, err := DecodeVersionVector(d)
+	if err != nil {
+		return err
+	}
+	if err := readAssertions(d, func(op Assertion) { s.applyLocked(&op) }); err != nil {
+		return err
+	}
+	err = readOps(d, func(op Assertion) {
+		a := s.elemLocked(op.URI, op.Name, op.Value)
+		if a == nil || a.Origin != op.Origin || a.Seq != op.Seq {
+			a = &op
+			s.applyLocked(a)
+		}
+		s.recordLocked(a)
+	})
+	if err != nil {
+		return err
+	}
+	s.vv, s.floor = vv, floor
+	return nil
+}
+
+// readOps decodes the per-origin op logs of a snapshot, handing each op
+// to fn.
+func readOps(d *xdr.Decoder, fn func(Assertion)) error {
+	nOrigins, err := d.Uint32()
+	if err != nil {
+		return err
+	}
 	for i := uint32(0); i < nOrigins; i++ {
 		if _, err := d.StringMax(maxWireURI); err != nil { // origin name; ops carry it too
-			return nil, err
+			return err
 		}
-		nOps, err := d.Uint32()
+		if err := readAssertions(d, fn); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// readAssertions decodes a count-prefixed run of assertions, handing
+// each to fn.
+func readAssertions(d *xdr.Decoder, fn func(Assertion)) error {
+	n, err := d.Uint32()
+	if err != nil {
+		return err
+	}
+	for i := uint32(0); i < n; i++ {
+		op, err := DecodeAssertion(d)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		for j := uint32(0); j < nOps; j++ {
-			op, err := DecodeAssertion(d)
-			if err != nil {
-				return nil, err
-			}
-			s.mu.Lock()
-			s.logAndApplyLocked(op)
-			s.mu.Unlock()
-		}
+		fn(op)
 	}
-	// The snapshot's lamport/seq take precedence over what replay
-	// inferred (replay can only raise lamport, never above the saved
-	// value plus op clocks; restore the exact counters).
-	d2 := xdr.NewDecoder(data)
-	d2.StringMax(64)         // magic
-	d2.StringMax(maxWireURI) // origin
-	lamport, _ := d2.Uint64()
-	seq, _ := d2.Uint64()
-	s.mu.Lock()
-	if lamport > s.lamport {
-		s.lamport = lamport
-	}
-	if seq > s.seq {
-		s.seq = seq
-	}
-	s.mu.Unlock()
-	return s, nil
+	return nil
 }
 
 // SaveFile snapshots the store to path atomically (write to a temp

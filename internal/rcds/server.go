@@ -44,10 +44,19 @@ func WithShard(self int, m *ShardMap) ServerOption {
 	return func(s *Server) { s.shard = &shardConfig{self: self, m: m} }
 }
 
-// WithLogCompaction bounds the op log: a background loop periodically
-// drops entries more than keepTail sequence numbers below each origin's
-// contiguous mark. Replicas that fall below the resulting floor catch
-// up via snapshot (SyncFromPeer) instead of history replay.
+// DefaultCompactKeep is the op-log tail per origin a server keeps unless
+// WithLogCompaction says otherwise. It covers several seconds of a busy
+// group's writes, so a replica that misses a few anti-entropy rounds
+// still catches up from the tail; one that falls further behind pulls a
+// snapshot.
+const DefaultCompactKeep = 4096
+
+// WithLogCompaction sets how much op log the server keeps: a background
+// loop periodically drops entries more than keepTail sequence numbers
+// below each origin's contiguous mark (DefaultCompactKeep when the
+// option is absent). Replicas that fall below the resulting floor catch
+// up via snapshot (SyncFromPeer) instead of history replay. keepTail <= 0
+// disables compaction: the log then keeps every op ever made.
 func WithLogCompaction(keepTail int) ServerOption {
 	return func(s *Server) { s.compactKeep = keepTail }
 }
@@ -101,11 +110,12 @@ type Server struct {
 // NewServer creates a server over store. Call Start to begin serving.
 func NewServer(store *Store, opts ...ServerOption) *Server {
 	s := &Server{
-		store:      store,
-		aeInterval: 250 * time.Millisecond,
-		conns:      make(map[net.Conn]struct{}),
-		pushCh:     make(chan []Assertion, 1024),
-		done:       make(chan struct{}),
+		store:       store,
+		aeInterval:  250 * time.Millisecond,
+		compactKeep: DefaultCompactKeep,
+		conns:       make(map[net.Conn]struct{}),
+		pushCh:      make(chan []Assertion, 1024),
+		done:        make(chan struct{}),
 	}
 	for _, o := range opts {
 		o(s)
@@ -632,7 +642,11 @@ func (s *Server) syncCtx() (context.Context, context.CancelFunc) {
 // resident and every rejoin replays it.
 func (s *Server) compactLoop() {
 	defer s.wg.Done()
-	ticker := time.NewTicker(s.aeInterval * 8)
+	every := s.aeInterval * 8
+	if every <= 0 { // anti-entropy off: compact at the default cadence
+		every = 2 * time.Second
+	}
+	ticker := time.NewTicker(every)
 	defer ticker.Stop()
 	for {
 		select {

@@ -31,20 +31,26 @@ type Event struct {
 // vector summarising them. All methods are safe for concurrent use.
 //
 // Every op is held once: the log and the catalog share one *Assertion,
-// which is never modified after it is stored. A URI's elements are a
-// slice kept in (name, value) order — a map per URI costs hundreds of
+// which is never modified after it is stored. A URI's elements are
+// slices kept in (name, value) order — a map per URI costs hundreds of
 // bytes even for the one-element URIs that dominate a large catalog —
 // so reads come out sorted and an attribute's values are adjacent.
+//
+// Live elements and tombstones sit in separate slices, so reads and Set
+// never step over the tombstones a hot attribute accumulates. Every URI
+// with any element has a catalogs entry (empty when it holds only
+// tombstones); only URIs that have tombstones have a tombstones entry.
 type Store struct {
 	mu      sync.Mutex
 	origin  string
 	lamport uint64
 	seq     uint64 // this origin's next op sequence number - 1
 
-	catalogs map[string][]*Assertion          // uri → elements, live and tombstoned, by (name, value)
-	log      map[string]map[uint64]*Assertion // origin → seq → op (may have holes)
-	vv       VersionVector                    // contiguous high-water marks
-	floor    map[string]uint64                // origin → first log seq still servable (0 = from the start)
+	catalogs   map[string][]*Assertion          // uri → live elements, by (name, value)
+	tombstones map[string][]*Assertion          // uri → tombstones, by (name, value)
+	log        map[string]map[uint64]*Assertion // origin → seq → op (may have holes)
+	vv         VersionVector                    // contiguous high-water marks
+	floor      map[string]uint64                // origin → first log seq still servable (0 = from the start)
 
 	version uint64             // bumped on every visible change
 	changes [changeRing]string // URI of the change at version v, at v % changeRing
@@ -75,14 +81,15 @@ type subscription struct {
 // NewStore returns an empty replica identified by origin.
 func NewStore(origin string) *Store {
 	s := &Store{
-		origin:   origin,
-		catalogs: make(map[string][]*Assertion),
-		log:      make(map[string]map[uint64]*Assertion),
-		vv:       make(VersionVector),
-		floor:    make(map[string]uint64),
-		subs:     make(map[int]*subscription),
-		nowFn:    func() int64 { return time.Now().UnixNano() },
-		metrics:  stats.NewRegistry(),
+		origin:     origin,
+		catalogs:   make(map[string][]*Assertion),
+		tombstones: make(map[string][]*Assertion),
+		log:        make(map[string]map[uint64]*Assertion),
+		vv:         make(VersionVector),
+		floor:      make(map[string]uint64),
+		subs:       make(map[int]*subscription),
+		nowFn:      func() int64 { return time.Now().UnixNano() },
+		metrics:    stats.NewRegistry(),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.mLocalOps = s.metrics.Counter("local_ops")
@@ -119,18 +126,45 @@ func (s *Store) newLocalOp(uri, name, value string, deleted bool) *Assertion {
 
 // applyLocked merges one assertion into the catalog, keeping a itself
 // (not a copy), and remembers its URI under the new version in the
-// change ring. Every local, remote and snapshot op passes through here.
-// Returns true if the catalog visibly changed. Caller holds s.mu.
+// change ring. An op that flips an element between live and tombstoned
+// moves it to the other slice. Every local, remote, snapshot and
+// persisted op passes through here. Returns true if the catalog visibly
+// changed. Caller holds s.mu.
 func (s *Store) applyLocked(a *Assertion) bool {
-	elems := s.catalogs[a.URI]
-	i, exists := findElem(elems, a.Name, a.Value)
-	if exists {
-		if !a.Supersedes(elems[i]) {
-			return false
+	live, dead := s.catalogs[a.URI], s.tombstones[a.URI]
+	i, inLive := findElem(live, a.Name, a.Value)
+	j, inDead := 0, false
+	if !inLive {
+		j, inDead = findElem(dead, a.Name, a.Value)
+	}
+	switch {
+	case inLive && !a.Supersedes(live[i]), inDead && !a.Supersedes(dead[j]):
+		return false
+	case inLive && !a.Deleted:
+		live[i] = a
+	case inDead && a.Deleted:
+		dead[j] = a
+	default:
+		if inLive {
+			live = slices.Delete(live, i, i+1)
 		}
-		elems[i] = a
-	} else {
-		s.catalogs[a.URI] = slices.Insert(elems, i, a)
+		if inDead {
+			dead = slices.Delete(dead, j, j+1)
+		}
+		if a.Deleted {
+			if inLive {
+				j, _ = findElem(dead, a.Name, a.Value)
+			}
+			dead = slices.Insert(dead, j, a)
+		} else {
+			live = slices.Insert(live, i, a)
+		}
+		s.catalogs[a.URI] = live
+		if len(dead) > 0 {
+			s.tombstones[a.URI] = dead
+		} else {
+			delete(s.tombstones, a.URI)
+		}
 	}
 	if a.Clock > s.lamport {
 		s.lamport = a.Clock
@@ -175,8 +209,8 @@ func findElem(elems []*Assertion, name, value string) (int, bool) {
 	})
 }
 
-// attrLocked returns uri's elements named name, live and tombstoned,
-// in value order. Caller holds s.mu.
+// attrLocked returns uri's live elements named name, in value order.
+// Caller holds s.mu.
 func (s *Store) attrLocked(uri, name string) []*Assertion {
 	elems := s.catalogs[uri]
 	lo, _ := findElem(elems, name, "")
@@ -185,6 +219,42 @@ func (s *Store) attrLocked(uri, name string) []*Assertion {
 		hi++
 	}
 	return elems[lo:hi]
+}
+
+// eachElemLocked calls fn on every element of uri, live and tombstoned,
+// in (name, value) order: the order snapshots and digests use. Caller
+// holds s.mu.
+func (s *Store) eachElemLocked(uri string, fn func(*Assertion)) {
+	live, dead := s.catalogs[uri], s.tombstones[uri]
+	for len(live) > 0 || len(dead) > 0 {
+		if len(dead) == 0 || len(live) > 0 && elemLess(live[0], dead[0]) {
+			fn(live[0])
+			live = live[1:]
+		} else {
+			fn(dead[0])
+			dead = dead[1:]
+		}
+	}
+}
+
+// elemLocked returns uri's element (name, value), live or tombstoned,
+// or nil. Caller holds s.mu.
+func (s *Store) elemLocked(uri, name, value string) *Assertion {
+	if i, ok := findElem(s.catalogs[uri], name, value); ok {
+		return s.catalogs[uri][i]
+	}
+	if j, ok := findElem(s.tombstones[uri], name, value); ok {
+		return s.tombstones[uri][j]
+	}
+	return nil
+}
+
+// elemLess orders elements by (name, value).
+func elemLess(a, b *Assertion) bool {
+	if a.Name != b.Name {
+		return a.Name < b.Name
+	}
+	return a.Value < b.Value
 }
 
 // commitLocked logs and applies freshly minted local ops, returning
@@ -227,7 +297,7 @@ func (s *Store) Set(uri, name, value string) []Assertion {
 	defer s.mu.Unlock()
 	var ops []*Assertion
 	for _, cur := range s.attrLocked(uri, name) {
-		if !cur.Deleted && cur.Value != value {
+		if cur.Value != value {
 			ops = append(ops, s.newLocalOp(uri, name, cur.Value, true))
 		}
 	}
@@ -260,9 +330,7 @@ func (s *Store) AddSigned(uri, name, value string, signer string, sig []byte) []
 func (s *Store) Remove(uri, name, value string) []Assertion {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	elems := s.catalogs[uri]
-	i, ok := findElem(elems, name, value)
-	if !ok || elems[i].Deleted {
+	if _, ok := findElem(s.catalogs[uri], name, value); !ok {
 		return nil
 	}
 	return s.commitLocked([]*Assertion{s.newLocalOp(uri, name, value, true)})
@@ -274,9 +342,7 @@ func (s *Store) RemoveAll(uri, name string) []Assertion {
 	defer s.mu.Unlock()
 	var ops []*Assertion
 	for _, cur := range s.attrLocked(uri, name) {
-		if !cur.Deleted {
-			ops = append(ops, s.newLocalOp(uri, name, cur.Value, true))
-		}
+		ops = append(ops, s.newLocalOp(uri, name, cur.Value, true))
 	}
 	return s.commitLocked(ops)
 }
@@ -321,9 +387,7 @@ func (s *Store) Get(uri string) []Assertion {
 	defer s.mu.Unlock()
 	var out []Assertion
 	for _, a := range s.catalogs[uri] {
-		if !a.Deleted {
-			out = append(out, *a)
-		}
+		out = append(out, *a)
 	}
 	return out
 }
@@ -335,9 +399,7 @@ func (s *Store) Values(uri, name string) []string {
 	defer s.mu.Unlock()
 	var out []string
 	for _, a := range s.attrLocked(uri, name) {
-		if !a.Deleted {
-			out = append(out, a.Value)
-		}
+		out = append(out, a.Value)
 	}
 	return out
 }
@@ -350,10 +412,8 @@ func (s *Store) FirstValue(uri, name string) (string, bool) {
 	defer s.mu.Unlock()
 	var best *Assertion
 	for _, a := range s.attrLocked(uri, name) {
-		if !a.Deleted {
-			if best == nil || a.Supersedes(best) {
-				best = a
-			}
+		if best == nil || a.Supersedes(best) {
+			best = a
 		}
 	}
 	if best == nil {
@@ -368,14 +428,8 @@ func (s *Store) URIs(prefix string) []string {
 	defer s.mu.Unlock()
 	var out []string
 	for uri, elems := range s.catalogs {
-		if !strings.HasPrefix(uri, prefix) {
-			continue
-		}
-		for _, a := range elems {
-			if !a.Deleted {
-				out = append(out, uri)
-				break
-			}
+		if len(elems) > 0 && strings.HasPrefix(uri, prefix) {
+			out = append(out, uri)
 		}
 	}
 	sort.Strings(out)
@@ -527,15 +581,17 @@ func (s *Store) Unsubscribe(id int) {
 func (s *Store) Stats() (uris, elements, tombstones int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.statsLocked()
+}
+
+// statsLocked is Stats. Caller holds s.mu.
+func (s *Store) statsLocked() (uris, elements, tombstones int) {
 	uris = len(s.catalogs)
 	for _, elems := range s.catalogs {
-		for _, a := range elems {
-			if a.Deleted {
-				tombstones++
-			} else {
-				elements++
-			}
-		}
+		elements += len(elems)
+	}
+	for _, dead := range s.tombstones {
+		tombstones += len(dead)
 	}
 	return
 }
@@ -591,9 +647,7 @@ func (s *Store) SnapshotPage(afterURI string, maxOps int) (ops []Assertion, next
 		if len(ops) >= maxOps {
 			return ops, next, s.vv.Copy()
 		}
-		for _, a := range s.catalogs[uri] {
-			ops = append(ops, *a)
-		}
+		s.eachElemLocked(uri, func(a *Assertion) { ops = append(ops, *a) })
 		next = uri
 	}
 	return ops, "", s.vv.Copy()
@@ -716,11 +770,11 @@ func (s *Store) ContentHash() [32]byte {
 	h := sha256.New()
 	e := xdr.NewEncoder(256)
 	for _, uri := range uris {
-		for _, a := range s.catalogs[uri] { // already in (name, value) order
+		s.eachElemLocked(uri, func(a *Assertion) {
 			e.Reset()
 			a.Encode(e)
 			h.Write(e.Bytes())
-		}
+		})
 	}
 	var out [32]byte
 	h.Sum(out[:0])
