@@ -23,11 +23,11 @@ import (
 
 // --- Detection latency: the liveness experiment --------------------------
 //
-// Three daemons heartbeat into one catalog; a liveness.Monitor and a
+// Three daemons gossip into one catalog; a liveness.Monitor and a
 // resource manager watch. Reservations weight the placement so the
-// victim is the preferred host, then the victim is killed (heartbeats
-// just stop), partitioned from the catalog (netsim.Fabric gate), or
-// cleanly shut down (tombstone). Measured: injection → suspect,
+// victim is the preferred host, then the victim is killed (its gossip
+// just stops), partitioned from the catalog (netsim.Fabric gate), or
+// cleanly shut down (Left claim). Measured: injection → suspect,
 // injection → dead, and injection → first placement that avoids the
 // victim — the time the system keeps placing work on a dead host.
 
@@ -59,7 +59,7 @@ func fabricGossipGate(fabric *netsim.Fabric) func(from, to string) error {
 // catalog writes), "partition" (full isolation: the victim's catalog
 // access AND its gossip traffic severed via a netsim fabric — a host
 // that can still gossip is alive by definition, so a real split severs
-// both), or "clean" (Daemon.Close tombstone — expected to produce zero
+// both), or "clean" (Daemon.Close Left claim — expected to produce zero
 // suspects).
 func MeasureDetection(mode string, hbInterval time.Duration) (FailoverPoint, stats.Snapshot, error) {
 	pt := FailoverPoint{Mode: mode, HeartbeatMs: float64(hbInterval) / 1e6, SuspectMs: -1, DeadMs: -1, PlacementMs: -1}
@@ -122,7 +122,8 @@ func MeasureDetection(mode string, hbInterval time.Duration) (FailoverPoint, sta
 		return pt, stats.Snapshot{}, fmt.Errorf("bench: expected victim preferred, placement went to %s", host)
 	}
 
-	events := mon.Events()
+	events, unsubscribe := mon.Subscribe(0)
+	defer unsubscribe()
 	inject := time.Now()
 	switch mode {
 	case "crash":
@@ -168,7 +169,7 @@ func MeasureDetection(mode string, hbInterval time.Duration) (FailoverPoint, sta
 			switch ev.To {
 			case liveness.Suspect:
 				if mode == "clean" {
-					pt.FalseSuspects++ // a tombstoned host must never look suspect
+					pt.FalseSuspects++ // a departed host must never look suspect
 				} else if pt.SuspectMs < 0 {
 					pt.SuspectMs = float64(time.Since(inject)) / 1e6
 				}
@@ -238,8 +239,8 @@ func RunFailoverSuite(quick bool) ([]FailoverPoint, stats.Snapshot, error) {
 // liveness.Monitor consumes the digests. Measured per size: a no-fault
 // window (false suspects + catalog write rate), crash detection
 // latency (mean over several victims), a full-isolation partition with
-// heal, and the legacy per-host heartbeat write rate over the same
-// store type for the write-amplification comparison.
+// heal, and the write rate of one catalog claim per host per interval
+// over the same store type for the write-amplification comparison.
 
 // LivenessScalePoint is one cluster size's measurements.
 type LivenessScalePoint struct {
@@ -258,7 +259,7 @@ type LivenessScalePoint struct {
 	PartitionSuspectMs float64 `json:"partition_suspect_ms"`
 	PartitionDeadMs    float64 `json:"partition_dead_ms"`
 	HealReviveMs       float64 `json:"heal_revive_ms"` // rejoin → monitor alive again
-	// Catalog write amplification: digests vs one heartbeat per host.
+	// Catalog write amplification: digests vs one claim per host.
 	GossipWritesPerSec float64 `json:"gossip_writes_per_sec"`
 	LegacyWritesPerSec float64 `json:"legacy_writes_per_sec"`
 	WriteReduction     float64 `json:"write_reduction"`
@@ -582,7 +583,7 @@ func MeasureLivenessScale(hosts, groupSize int, probe time.Duration) (LivenessSc
 	}
 	pt.HealReviveMs = float64(revive) / 1e6
 
-	// Legacy baseline, measured: one catalog heartbeat per host per
+	// Per-host baseline, measured: one catalog claim per host per
 	// interval into the same store type, counted over a few intervals.
 	lcat := naming.StoreCatalog(rcds.NewStore(fmt.Sprintf("bench-liveness-legacy-%d", hosts)))
 	lstart := time.Now()
@@ -592,8 +593,8 @@ func MeasureLivenessScale(hosts, groupSize int, probe time.Duration) (LivenessSc
 	for tick := 1; tick <= 3; tick++ {
 		<-ticker.C
 		for _, host := range w.names {
-			hb := liveness.Heartbeat{Seq: uint64(tick), Time: time.Now().UnixNano(), Load: 1}
-			if err := lcat.Set(host, rcds.AttrHeartbeat, hb.String()); err != nil {
+			claim := gossip.Update{Host: host, Inc: 1, Seq: uint64(tick), State: gossip.StateAlive, Load: 1}
+			if err := lcat.Set(host, rcds.AttrHeartbeat, gossip.FormatClaim(claim)); err != nil {
 				return pt, err
 			}
 			writes++

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"snipe/internal/comm"
+	"snipe/internal/gossip"
 	"snipe/internal/liveness"
 	"snipe/internal/naming"
 	"snipe/internal/rcds"
@@ -21,7 +22,7 @@ import (
 //
 // N echo replicas register under one service URN; a swarm of client
 // workers issues streaming calls continuously. Mid-run one replica's
-// host is killed cold — heartbeats stop, endpoint dies, no drain. The
+// host is killed cold — its claims stop, endpoint dies, no drain. The
 // claim under test is the tentpole invariant: between per-attempt
 // retry and the liveness-fed balancer, NOT ONE client call fails, and
 // throughput recovers to the pre-kill level once detection narrows the
@@ -77,7 +78,8 @@ func MeasureServiceKill(replicas, workers, respBytes int, warm, post time.Durati
 		return ep, naming.Register(cat, urn, []comm.Route{route})
 	}
 
-	// Host heartbeats, stoppable per host to simulate the kill.
+	// Per-host alive claims at a fixed incarnation and a rising
+	// sequence, stoppable per host to simulate the kill.
 	hbStop := make(map[string]chan struct{})
 	var hbWG sync.WaitGroup
 	beatHost := func(host string) {
@@ -89,11 +91,10 @@ func MeasureServiceKill(replicas, workers, respBytes int, warm, post time.Durati
 			defer hbWG.Done()
 			tick := time.NewTicker(20 * time.Millisecond)
 			defer tick.Stop()
-			var seq uint64
+			claim := gossip.Update{Host: hostURL, Inc: 1, State: gossip.StateAlive, Load: 0.5}
 			for {
-				seq++
-				hb := liveness.Heartbeat{Seq: seq, Time: time.Now().UnixNano(), Load: 0.5}
-				cat.Set(hostURL, rcds.AttrHeartbeat, hb.String())
+				claim.Seq++
+				cat.Set(hostURL, rcds.AttrHeartbeat, gossip.FormatClaim(claim))
 				select {
 				case <-done:
 					return
@@ -202,7 +203,7 @@ func MeasureServiceKill(replicas, workers, respBytes int, warm, post time.Durati
 
 	time.Sleep(warm)
 
-	// The kill: victim is the first replica. Heartbeats stop and the
+	// The kill: victim is the first replica. Its claims stop and the
 	// endpoint drops cold, exactly like a host crash.
 	victimHost := "svc1"
 	victimURL := naming.HostURL(victimHost)

@@ -270,8 +270,6 @@ type Endpoint struct {
 	stripeStall     time.Duration // max zero-progress window before a stripe fails stuck routes
 	scoreAlpha      float64       // EWMA smoothing factor of the route scorer
 	ackFlush        time.Duration // ack coalescing flush interval (0 = one frame per ack)
-	liveness        PeerLiveness  // optional failure detector fed by send/ack evidence
-	failFastDead    bool          // refuse + stop retrying sends to dead peers
 	handler         func(*Message)
 	handlerTags     map[uint32]bool // nil = handler takes all tags
 
@@ -334,8 +332,6 @@ type Endpoint struct {
 	mFragRequeues *stats.Counter   // fragments requeued off a failed route mid-stripe
 	mAckBatches   *stats.Counter   // batched ack frames sent
 	mAcksBatched  *stats.Counter   // individual acks carried inside batch frames
-	mDeadRefused  *stats.Counter   // sends refused up front: peer host dead
-	mDeadSkips    *stats.Counter   // buffered retries skipped: peer host dead
 	hAckLatency   *stats.Histogram // µs, send → end-to-end ack
 	hMsgSize      *stats.Histogram // bytes per application message
 }
@@ -384,8 +380,6 @@ func NewEndpoint(urn string, opts ...EndpointOption) *Endpoint {
 	e.mFragRequeues = e.metrics.Counter("frag_requeues")
 	e.mAckBatches = e.metrics.Counter("ack_batches")
 	e.mAcksBatched = e.metrics.Counter("acks_batched")
-	e.mDeadRefused = e.metrics.Counter("dead_peer_refused")
-	e.mDeadSkips = e.metrics.Counter("dead_peer_skips")
 	e.hAckLatency = e.metrics.Histogram("ack_latency_us", stats.LatencyBucketsUs)
 	e.hMsgSize = e.metrics.Histogram("msg_size_bytes", stats.SizeBuckets)
 	for _, o := range opts {
@@ -562,10 +556,6 @@ func (e *Endpoint) send(dst string, tag uint32, payload []byte) (*outMsg, error)
 	if e.closed.Load() {
 		return nil, ErrClosed
 	}
-	if e.peerDead(dst) {
-		e.mDeadRefused.Inc()
-		return nil, fmt.Errorf("%w: %s", ErrPeerDead, dst)
-	}
 	// Buffer-limit accounting is endpoint-wide and exact: reserve a
 	// slot first, back the reservation out if over the limit. Shards
 	// never consult each other.
@@ -694,12 +684,6 @@ func (e *Endpoint) transmit(om *outMsg) error {
 	if lastErr == nil {
 		lastErr = ErrNoRoute
 	}
-	// Every advertised route failed: that is suspicion evidence about
-	// the peer itself, not any one path — feed the failure detector.
-	// (Resolver errors and empty advertisements above are not reported:
-	// a catalog outage or a mid-migration window says nothing about the
-	// peer's host.)
-	e.reportSendFailure(om.msg.Dst)
 	return lastErr
 }
 
@@ -963,8 +947,7 @@ func (e *Endpoint) handleAck(src, dst string, seq uint64) {
 		if route != "" {
 			e.observeRouteAck(route, len(om.msg.Payload), attemptAge)
 		}
-		e.reportSendSuccess(dst) // end-to-end ack: direct proof of life
-		om.releasePayload()      // the system buffer's reference
+		om.releasePayload() // the system buffer's reference
 	}
 }
 
@@ -1169,14 +1152,6 @@ func (e *Endpoint) retryLoop() {
 			sh.mu.Unlock()
 		}
 		for _, om := range due {
-			// With fail-fast on, retries to a confirmed-dead peer are
-			// suppressed while it stays dead; the message remains
-			// buffered, so a revived peer (healed partition, restart)
-			// still collects its traffic.
-			if e.peerDead(om.msg.Dst) {
-				e.mDeadSkips.Inc()
-				continue
-			}
 			e.mRetried.Inc()
 			e.transmit(om) // failure leaves it buffered for a later tick
 		}

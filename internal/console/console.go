@@ -154,8 +154,8 @@ func (c *Console) handleResolve(w http.ResponseWriter, r *http.Request) {
 type attrPair struct{ name, value string }
 
 // loadString renders a host's load figure for display, reading the
-// heartbeat-carried value (with legacy AttrLoad fallback); "?" when
-// the host publishes neither.
+// digest-carried value (with AttrLoad fallback); "?" when the host
+// publishes neither.
 func loadString(cat naming.Catalog, hostURL string) string {
 	if load, ok := liveness.HostLoad(cat, hostURL); ok {
 		return fmt.Sprintf("%.2f", load)

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"snipe/internal/comm"
+	"snipe/internal/gossip"
 	"snipe/internal/liveness"
 	"snipe/internal/naming"
 	"snipe/internal/rcds"
@@ -473,7 +474,7 @@ func TestLoadPublishing(t *testing.T) {
 	if got := d.Load(); got != 2.0 { // 4 tasks / 2 CPUs
 		t.Fatalf("load = %v", got)
 	}
-	// The heartbeat loop publishes the load figure to the catalog.
+	// The group digest carries the load figure to the catalog.
 	testutil.WaitFor(t, 3*time.Second, func() bool {
 		load, ok := liveness.HostLoad(w.cat, d.HostURL())
 		return ok && load == 2.0
@@ -548,33 +549,38 @@ func BenchmarkSpawnExit(b *testing.B) {
 
 func TestHeartbeatIntervalConfigurable(t *testing.T) {
 	w := newWorld(t)
-	// Legacy mode: the per-tick heartbeat IS the configurable cadence
-	// under test (gossip mode writes no per-tick heartbeats at all).
 	d := New(Config{
 		HostName: "hb-fast", Catalog: w.cat,
 		HeartbeatInterval: 10 * time.Millisecond,
-	}.WithLegacyHeartbeat())
+	})
 	if err := d.Start(); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(d.Close)
 
+	// The lone member reports for its group: its digest carries the
+	// host's gossip sequence, bumped once per probe round.
 	readSeq := func() uint64 {
-		v, ok := w.store.FirstValue(d.HostURL(), rcds.AttrHeartbeat)
+		v, ok := w.store.FirstValue(naming.LivenessGroupURI(0), rcds.AttrGroupDigest)
 		if !ok {
 			return 0
 		}
-		hb, err := liveness.ParseHeartbeat(v)
+		dg, err := gossip.ParseDigest(v)
 		if err != nil {
-			t.Fatalf("malformed heartbeat %q: %v", v, err)
+			t.Fatalf("malformed digest %q: %v", v, err)
 		}
-		return hb.Seq
+		for _, u := range dg.Members {
+			if u.Host == d.HostURL() {
+				return u.Seq
+			}
+		}
+		return 0
 	}
 	start := readSeq()
 	time.Sleep(200 * time.Millisecond)
-	// 200ms at a 10ms cadence (±10% jitter) publishes ~20 beats; the
-	// default 100ms cadence could manage at most 3. Requiring 6 proves
-	// the configured interval took effect with wide scheduling slack.
+	// 200ms at a 10ms cadence runs ~20 probe rounds; the default 100ms
+	// cadence could manage at most 3. Requiring 6 proves the configured
+	// interval took effect with wide scheduling slack.
 	if got := readSeq(); got < start+6 {
 		t.Fatalf("seq advanced %d->%d in 200ms; configured interval ignored", start, got)
 	}
@@ -591,11 +597,11 @@ func TestCloseWritesTombstone(t *testing.T) {
 
 	v, ok := w.store.FirstValue(host, rcds.AttrHeartbeat)
 	if !ok {
-		t.Fatal("no heartbeat record after close")
+		t.Fatal("no liveness claim after close")
 	}
-	hb, err := liveness.ParseHeartbeat(v)
-	if err != nil || !hb.Down {
-		t.Fatalf("final heartbeat %q not a tombstone (%v)", v, err)
+	u, err := gossip.ParseClaim(v)
+	if err != nil || u.Host != host || u.State != gossip.StateLeft || u.Inc == 0 {
+		t.Fatalf("final claim %q is not the host's Left claim (%v)", v, err)
 	}
 	// The daemon record and its endpoint registration are withdrawn.
 	if v, ok := w.store.FirstValue(host, rcds.AttrHostDaemonURL); ok {
@@ -608,8 +614,8 @@ func TestCloseWritesTombstone(t *testing.T) {
 
 func TestKillWritesNothing(t *testing.T) {
 	// Kill simulates a crash: the daemon dies without touching the
-	// catalog, leaving its last ordinary heartbeat and all metadata in
-	// place for the liveness monitor to age out.
+	// catalog, leaving all its metadata in place for the liveness
+	// monitor to age out.
 	w := newWorld(t)
 	reg := task.NewRegistry()
 	reg.Register("idle", func(ctx *task.Context) error {
@@ -627,12 +633,8 @@ func TestKillWritesNothing(t *testing.T) {
 	host := d.HostURL()
 	d.Kill()
 
-	v, ok := w.store.FirstValue(host, rcds.AttrHeartbeat)
-	if !ok {
-		t.Fatal("heartbeat record vanished on crash")
-	}
-	if hb, err := liveness.ParseHeartbeat(v); err != nil || hb.Down {
-		t.Fatalf("crash wrote a tombstone: %q (%v)", v, err)
+	if v, ok := w.store.FirstValue(host, rcds.AttrHeartbeat); ok {
+		t.Fatalf("crash wrote a liveness claim: %q", v)
 	}
 	if _, ok := w.store.FirstValue(host, rcds.AttrHostDaemonURL); !ok {
 		t.Fatal("crash cleaned up the daemon record")

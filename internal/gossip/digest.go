@@ -63,12 +63,27 @@ func (d *Digest) Format() string {
 	}
 	sort.Slice(members, func(i, j int) bool { return members[i].Host < members[j].Host })
 	for _, u := range members {
-		fmt.Fprintf(&b, " %s,%d,%d,%s,%.3f", u.Host, u.Inc, u.Seq, digestStateLetter[u.State], u.Load)
-		if u.NoCat {
-			b.WriteString(",n")
-		}
+		b.WriteByte(' ')
+		writeClaim(&b, u)
 	}
 	return b.String()
+}
+
+// FormatClaim renders one member claim in the digest's member-entry
+// format, "<host>,<inc>,<seq>,<state-letter>,<load>" (plus ",n" when
+// NoCat): the one value format every kind of liveness evidence in the
+// catalog shares.
+func FormatClaim(u Update) string {
+	var b strings.Builder
+	writeClaim(&b, u)
+	return b.String()
+}
+
+func writeClaim(b *strings.Builder, u Update) {
+	fmt.Fprintf(b, "%s,%d,%d,%s,%.3f", u.Host, u.Inc, u.Seq, digestStateLetter[u.State], u.Load)
+	if u.NoCat {
+		b.WriteString(",n")
+	}
 }
 
 // ParseDigest reads a catalog digest value written by Format.
@@ -102,38 +117,48 @@ func ParseDigest(s string) (*Digest, error) {
 	}
 	d.Members = make([]Update, 0, len(entries))
 	for _, entry := range entries {
-		parts := strings.Split(entry, ",")
-		if len(parts) != 5 && len(parts) != 6 {
-			return nil, fmt.Errorf("gossip: digest member entry %q", truncate(entry))
-		}
-		var u Update
-		u.Host = parts[0]
-		if !validHostName(u.Host) {
-			return nil, fmt.Errorf("gossip: digest member host %q", truncate(parts[0]))
-		}
-		if u.Inc, err = strconv.ParseUint(parts[1], 10, 64); err != nil {
-			return nil, fmt.Errorf("gossip: digest member inc: %w", err)
-		}
-		if u.Seq, err = strconv.ParseUint(parts[2], 10, 64); err != nil {
-			return nil, fmt.Errorf("gossip: digest member seq: %w", err)
-		}
-		st, ok := digestLetterState[parts[3]]
-		if !ok {
-			return nil, fmt.Errorf("gossip: digest member state %q", truncate(parts[3]))
-		}
-		u.State = st
-		if u.Load, err = strconv.ParseFloat(parts[4], 64); err != nil {
-			return nil, fmt.Errorf("gossip: digest member load: %w", err)
-		}
-		if len(parts) == 6 {
-			if parts[5] != "n" {
-				return nil, fmt.Errorf("gossip: digest member trailer %q", truncate(parts[5]))
-			}
-			u.NoCat = true
+		u, err := ParseClaim(entry)
+		if err != nil {
+			return nil, err
 		}
 		d.Members = append(d.Members, u)
 	}
 	return &d, nil
+}
+
+// ParseClaim reads one member claim written by FormatClaim.
+func ParseClaim(entry string) (Update, error) {
+	var u Update
+	parts := strings.Split(entry, ",")
+	if len(parts) != 5 && len(parts) != 6 {
+		return u, fmt.Errorf("gossip: digest member entry %q", truncate(entry))
+	}
+	u.Host = parts[0]
+	if !validHostName(u.Host) {
+		return u, fmt.Errorf("gossip: digest member host %q", truncate(parts[0]))
+	}
+	var err error
+	if u.Inc, err = strconv.ParseUint(parts[1], 10, 64); err != nil {
+		return u, fmt.Errorf("gossip: digest member inc: %w", err)
+	}
+	if u.Seq, err = strconv.ParseUint(parts[2], 10, 64); err != nil {
+		return u, fmt.Errorf("gossip: digest member seq: %w", err)
+	}
+	st, ok := digestLetterState[parts[3]]
+	if !ok {
+		return u, fmt.Errorf("gossip: digest member state %q", truncate(parts[3]))
+	}
+	u.State = st
+	if u.Load, err = strconv.ParseFloat(parts[4], 64); err != nil {
+		return u, fmt.Errorf("gossip: digest member load: %w", err)
+	}
+	if len(parts) == 6 {
+		if parts[5] != "n" {
+			return u, fmt.Errorf("gossip: digest member trailer %q", truncate(parts[5]))
+		}
+		u.NoCat = true
+	}
+	return u, nil
 }
 
 // truncate bounds hostile input in error strings.

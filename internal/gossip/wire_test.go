@@ -140,6 +140,12 @@ func TestDigestRoundTrip(t *testing.T) {
 	if got.Members[0].Load != 1.25 || got.Members[1].Load != 0.5 {
 		t.Fatal("load lost")
 	}
+	// Each member entry is a claim that also stands alone.
+	for _, u := range d.Members {
+		if c, err := ParseClaim(FormatClaim(u)); err != nil || c != u {
+			t.Fatalf("claim round trip: %+v -> %+v (%v)", u, c, err)
+		}
+	}
 }
 
 func TestDigestFormatSkipsInvalidHosts(t *testing.T) {

@@ -1,5 +1,5 @@
 // End-to-end failure scenarios across the real stack: daemons
-// heartbeating into a shared catalog, a monitor watching it, and a
+// gossiping into a shared catalog, a monitor watching it, and a
 // resource manager placing around failures. External test package so
 // the tests can use internal/rm and internal/daemon without an import
 // cycle (both import liveness).
@@ -105,7 +105,7 @@ func TestCrashDetectionEndToEnd(t *testing.T) {
 		}
 	}
 
-	victim.Kill() // crash: heartbeats stop, no tombstone, no metadata cleanup
+	victim.Kill() // crash: gossip stops, no Left claim, no metadata cleanup
 	// With a steady 20ms cadence the adaptive bound sits near
 	// 2.5 × 20ms = 50ms and death at twice that; allow 10× headroom for
 	// scheduler noise before calling the detector broken.
@@ -141,44 +141,58 @@ func TestCrashDetectionEndToEnd(t *testing.T) {
 }
 
 // TestCleanShutdownIsNotAFailure closes a daemon properly and checks
-// the tombstone path: the host transitions to Left without ever being
-// suspected, and placement excludes it immediately.
+// the departure path: the host transitions to Left without ever being
+// suspected, and placement excludes it immediately. It runs for the
+// group's reporter (c1, the lowest-named member, whose final digest
+// carries its own departure) and for a non-reporter (c2, whose goodbye
+// reaches the catalog through its Left claim).
 func TestCleanShutdownIsNotAFailure(t *testing.T) {
-	store := rcds.NewStore("e2e-clean")
-	cat := naming.StoreCatalog(store)
-	reg := idleRegistry()
-	leaver := startDaemon(t, "c1", cat, reg)
-	startDaemon(t, "c2", cat, reg)
-
-	mon := quickMonitor(t, cat)
-	events := mon.Events()
-	mgr, err := rm.NewManager("clean-rm", cat, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(mgr.Close)
-	mgr.UseLiveness(mon)
-
-	time.Sleep(10 * hbInterval)
-	leaver.Close()
-	waitHostState(t, mon, leaver.HostURL(), liveness.Left, 2*time.Second)
-
-	// Linger past the death bound: no suspicion may surface for a host
-	// that said goodbye.
-	time.Sleep(10 * hbInterval)
-	for done := false; !done; {
-		select {
-		case ev := <-events:
-			if ev.To == liveness.Suspect || ev.To == liveness.Dead {
-				t.Fatalf("clean shutdown produced %v for %s (%s)", ev.To, ev.Host, ev.Reason)
+	for _, tc := range []struct{ leaver, stayer string }{{"c1", "c2"}, {"c2", "c1"}} {
+		t.Run(tc.leaver, func(t *testing.T) {
+			store := rcds.NewStore("e2e-clean-" + tc.leaver)
+			cat := naming.StoreCatalog(store)
+			reg := idleRegistry()
+			daemons := map[string]*daemon.Daemon{}
+			for _, h := range []string{"c1", "c2"} {
+				daemons[h] = startDaemon(t, h, cat, reg)
 			}
-		default:
-			done = true
-		}
-	}
-	host, _, err := mgr.SelectHost(task.Requirements{})
-	if err != nil || host != naming.HostURL("c2") {
-		t.Fatalf("placement after departure: %q %v", host, err)
+			leaver := daemons[tc.leaver]
+
+			mon := quickMonitor(t, cat)
+			events, cancel := mon.Subscribe(0)
+			defer cancel()
+			mgr, err := rm.NewManager("clean-rm", cat, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(mgr.Close)
+			mgr.UseLiveness(mon)
+
+			time.Sleep(10 * hbInterval)
+			leaver.Close()
+			waitHostState(t, mon, leaver.HostURL(), liveness.Left, 2*time.Second)
+
+			// Linger past the death bound: no suspicion may surface for a
+			// host that said goodbye.
+			time.Sleep(10 * hbInterval)
+			for done := false; !done; {
+				select {
+				case ev := <-events:
+					if ev.To == liveness.Suspect || ev.To == liveness.Dead {
+						t.Fatalf("clean shutdown produced %v for %s (%s)", ev.To, ev.Host, ev.Reason)
+					}
+				default:
+					done = true
+				}
+			}
+			if got := mon.State(leaver.HostURL()); got != liveness.Left {
+				t.Fatalf("leaver state after linger = %v", got)
+			}
+			host, _, err := mgr.SelectHost(task.Requirements{})
+			if err != nil || host != naming.HostURL(tc.stayer) {
+				t.Fatalf("placement after departure: %q %v", host, err)
+			}
+		})
 	}
 }
 

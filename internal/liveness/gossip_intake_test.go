@@ -264,6 +264,63 @@ func TestFrozenDigestMembersTimeOut(t *testing.T) {
 	}
 }
 
+// scanOnly hides a catalog's push and long-poll faces, so a monitor
+// over it falls back to re-reading everything on the scan ticker.
+type scanOnly struct{ naming.Catalog }
+
+func TestFrozenHostClaimsTimeOut(t *testing.T) {
+	opts := quickOptions()
+	opts.ScanInterval = 2 * time.Millisecond
+	cat := scanOnly{naming.StoreCatalog(rcds.NewStore("frozen-claims"))}
+	mon := NewMonitor(cat, opts)
+	t.Cleanup(mon.Close)
+	host := naming.HostURL("g11")
+	claim := func(inc, seq uint64, state uint8) {
+		u := gossip.Update{Host: host, Inc: inc, Seq: seq, State: state}
+		cat.Set(host, rcds.AttrHeartbeat, gossip.FormatClaim(u))
+	}
+	waitFor := func(want State) {
+		t.Helper()
+		deadline := time.Now().Add(2 * time.Second)
+		for mon.State(host) != want {
+			if time.Now().After(deadline) {
+				t.Fatalf("state = %v, want %v", mon.State(host), want)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	// The host crashes after its last alive claim: every scan re-reads
+	// the unchanging claim, which must not count as fresh evidence.
+	const seqs = 6
+	for seq := uint64(1); seq <= seqs; seq++ {
+		claim(5, seq, gossip.StateAlive)
+		time.Sleep(5 * time.Millisecond)
+	}
+	waitFor(Alive)
+	waitFor(Dead)
+	if got := mon.Metrics().Counter("heartbeats_observed").Value(); got > seqs {
+		t.Fatalf("heartbeats_observed = %d, want <= %d (replays ignored)", got, seqs)
+	}
+
+	// A later life exits cleanly, and its Left claim stays frozen in the
+	// record while the host is reborn at the next incarnation, its
+	// liveness now carried by digests. The re-read Left claim must not
+	// hold the reborn host down.
+	claim(6, 3, gossip.StateLeft)
+	waitFor(Left)
+	for seq := uint64(1); seq <= 20; seq++ {
+		d := &gossip.Digest{Group: 4, Reporter: host, Seq: seq, Quorum: true, Members: []gossip.Update{
+			{Host: host, Inc: 7, Seq: seq, State: gossip.StateAlive},
+		}}
+		cat.Set(naming.LivenessGroupURI(4), rcds.AttrGroupDigest, d.Format())
+		time.Sleep(3 * time.Millisecond)
+		if seq > 5 && mon.State(host) != Alive {
+			t.Fatalf("digest %d: reborn host is %v under a frozen Left claim", seq, mon.State(host))
+		}
+	}
+}
+
 func TestDigestDedupeAdmissionRules(t *testing.T) {
 	w := newBeatWorld(t, slowOptions())
 	r1, r2 := naming.HostURL("r1"), naming.HostURL("r2")
@@ -421,10 +478,11 @@ func TestHostLoadDigestPath(t *testing.T) {
 	cat := naming.StoreCatalog(store)
 	host := naming.HostURL("gh1")
 
-	// A gossip-mode host publishes load through its group digest, which
-	// beats even a (stale) legacy heartbeat on the same record.
+	// A daemon-run host publishes load through its group digest, which
+	// beats even a (stale) hand-published load attribute on the same
+	// record.
 	cat.Set(host, rcds.AttrGossipGroup, "5/8")
-	cat.Set(host, rcds.AttrHeartbeat, Heartbeat{Seq: 1, Time: 1, Load: 9.75}.String())
+	cat.Set(host, rcds.AttrLoad, "9.75")
 	d := &gossip.Digest{Group: 5, Reporter: host, Seq: 3, Quorum: true, Members: []gossip.Update{
 		{Host: host, Inc: 1, Seq: 30, State: gossip.StateAlive, Load: 2.25},
 	}}
@@ -434,10 +492,10 @@ func TestHostLoadDigestPath(t *testing.T) {
 	}
 
 	// Digest missing (group not yet written): fall through to the
-	// heartbeat rather than reporting no load.
+	// load attribute rather than reporting no load.
 	cat.Set(host, rcds.AttrGossipGroup, "6/8")
 	if load, ok := HostLoad(cat, host); !ok || load != 9.75 {
-		t.Fatalf("heartbeat fallback: %v %v", load, ok)
+		t.Fatalf("load attribute fallback: %v %v", load, ok)
 	}
 	// A malformed membership attribute also falls through.
 	cat.Set(host, rcds.AttrGossipGroup, "junk")

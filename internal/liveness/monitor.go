@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"snipe/internal/comm"
 	"snipe/internal/gossip"
 	"snipe/internal/naming"
 	"snipe/internal/rcds"
@@ -17,14 +16,15 @@ import (
 type State uint8
 
 // Host liveness states. The failure path is Alive → Suspect → Dead;
-// a clean shutdown tombstone goes straight to Left; a fresh heartbeat
-// returns any state to Alive (a healed partition or a restarted host).
+// a clean shutdown's Left claim goes straight to Left; fresh alive
+// evidence returns any state to Alive (a healed partition or a
+// restarted host).
 const (
-	Unknown State = iota // no heartbeat ever observed
+	Unknown State = iota // no claim ever observed
 	Alive
 	Suspect
 	Dead
-	Left // clean shutdown (tombstone published)
+	Left // clean shutdown (the host gossiped its departure)
 )
 
 // String names the state.
@@ -44,8 +44,9 @@ func (s State) String() string {
 }
 
 // Placeable reports whether a resource manager may place new work on a
-// host in this state. Unknown passes: records without heartbeats (e.g.
-// hand-registered hosts) keep working as before the subsystem existed.
+// host in this state. Unknown passes: records without liveness claims
+// (e.g. hand-registered hosts) keep working as before the subsystem
+// existed.
 func (s State) Placeable() bool { return s != Suspect && s != Dead && s != Left }
 
 // Event is one state transition — the paper's failure notification.
@@ -61,12 +62,11 @@ type Event struct {
 type Info struct {
 	Host         string
 	State        State
-	Seq          uint64        // last heartbeat/gossip sequence number seen
-	Inc          uint64        // gossip incarnation (zero for legacy heartbeats)
-	Load         float64       // load carried by the last heartbeat or digest
+	Seq          uint64        // last gossip sequence number seen
+	Inc          uint64        // last gossip incarnation seen
+	Load         float64       // load carried by the last alive claim
 	Age          time.Duration // since the last new liveness evidence arrived
 	SuspectAfter time.Duration // current adaptive suspicion bound
-	Failures     int           // consecutive comm-reported send failures
 }
 
 // Options tunes a Monitor. Zero values take the defaults noted.
@@ -74,7 +74,7 @@ type Options struct {
 	// CheckInterval is the evaluation tick (default 25ms).
 	CheckInterval time.Duration
 	// MinSuspect floors the adaptive suspicion bound (default 50ms), so
-	// a burst of quick heartbeats cannot tighten the detector below
+	// a burst of quick claims cannot tighten the detector below
 	// scheduling noise.
 	MinSuspect time.Duration
 	// MaxSuspect caps the bound and is also the bound used before any
@@ -84,15 +84,6 @@ type Options struct {
 	// (default 2): a host is dead after DeadFactor × suspect-bound of
 	// silence.
 	DeadFactor float64
-	// FixedSuspect, when positive, replaces the adaptive bound with a
-	// fixed deadline — the ablation knob for the detection-latency
-	// experiment (DESIGN.md key decision #10).
-	FixedSuspect time.Duration
-	// FailureThreshold is how many consecutive comm send failures force
-	// suspicion ahead of the heartbeat timeout (default 3, SWIM-style
-	// piggybacked evidence). Zero keeps the default; negative disables
-	// the evidence path.
-	FailureThreshold int
 	// ScanInterval is the catalog poll period when the catalog offers
 	// neither push subscriptions nor version long-poll (default 100ms).
 	ScanInterval time.Duration
@@ -118,9 +109,6 @@ func (o *Options) fill() {
 	if o.DeadFactor <= 1 {
 		o.DeadFactor = 2
 	}
-	if o.FailureThreshold == 0 {
-		o.FailureThreshold = 3
-	}
 	if o.ScanInterval <= 0 {
 		o.ScanInterval = 100 * time.Millisecond
 	}
@@ -139,15 +127,14 @@ const historySize = 32
 type hostRecord struct {
 	state     State
 	seq       uint64
-	aliveSeq  uint64    // highest seq any alive claim carried at inc
-	inc       uint64    // gossip incarnation (zero for legacy heartbeats)
+	aliveSeq  uint64 // highest seq any alive claim carried at inc
+	inc       uint64 // gossip incarnation
 	load      float64
 	lastBeat  time.Time // local arrival time of the last NEW evidence
 	lastSeen  time.Time // last intake mentioning the host, fresh or stale
 	changedAt time.Time // when the current state was adopted
 	intervals []time.Duration
 	next      int // ring cursor into intervals
-	failures  int // consecutive comm-reported failures
 }
 
 // digestMark records the newest digest ingested for one gossip group.
@@ -158,6 +145,17 @@ type hostRecord struct {
 type digestMark struct {
 	reporter string
 	seq      uint64
+}
+
+// claimMark records the newest (incarnation, sequence) ingested from
+// one host's per-host record, the digestMark of that record: the scan
+// and long-poll paths re-read it every cycle, and a frozen claim
+// re-admitted each time would keep refreshing a crashed host. Marks
+// outlive expired host records, so a claim still frozen in the catalog
+// is never re-admitted; there is one per host record that ever carried
+// a claim, bounded as the catalog's own host records are.
+type claimMark struct {
+	inc, seq uint64
 }
 
 // subscriber is the push face of a catalog (satisfied by
@@ -174,17 +172,18 @@ type waiter interface {
 	Wait(ctx context.Context, since uint64, timeout time.Duration) (uint64, error)
 }
 
-// Monitor tracks host liveness from heartbeat metadata. It rides the
-// catalog's own change-notification channel: push subscriptions for
-// in-process stores, the Wait long-poll for remote RC clients, a plain
-// scan ticker otherwise.
+// Monitor tracks host liveness from gossip claims in the catalog. It
+// rides the catalog's own change-notification channel: push
+// subscriptions for in-process stores, the Wait long-poll for remote RC
+// clients, a plain scan ticker otherwise.
 type Monitor struct {
 	cat  naming.Catalog
 	opts Options
 
-	mu    sync.Mutex
-	hosts map[string]*hostRecord
-	marks map[int]digestMark // newest ingested digest per gossip group
+	mu         sync.Mutex
+	hosts      map[string]*hostRecord
+	marks      map[int]digestMark   // newest ingested digest per gossip group
+	claimMarks map[string]claimMark // newest ingested per-host claim
 
 	subMu   sync.Mutex
 	subs    map[int]chan Event
@@ -202,10 +201,9 @@ type Monitor struct {
 	mDeads       *stats.Counter
 	mRevives     *stats.Counter
 	mLefts       *stats.Counter
-	mEvidence    *stats.Counter
 	mScans       *stats.Counter
 	mDropped     *stats.Counter   // subscriber events evicted (drop-oldest)
-	hDetectDelay *stats.Histogram // µs from last heartbeat to dead verdict
+	hDetectDelay *stats.Histogram // µs from last alive evidence to dead verdict
 }
 
 // NewMonitor builds and starts a monitor over cat.
@@ -213,14 +211,15 @@ func NewMonitor(cat naming.Catalog, opts Options) *Monitor {
 	opts.fill()
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &Monitor{
-		cat:     cat,
-		opts:    opts,
-		hosts:   make(map[string]*hostRecord),
-		marks:   make(map[int]digestMark),
-		subs:    make(map[int]chan Event),
-		ctx:     ctx,
-		cancel:  cancel,
-		metrics: stats.NewRegistry(),
+		cat:        cat,
+		opts:       opts,
+		hosts:      make(map[string]*hostRecord),
+		marks:      make(map[int]digestMark),
+		claimMarks: make(map[string]claimMark),
+		subs:       make(map[int]chan Event),
+		ctx:        ctx,
+		cancel:     cancel,
+		metrics:    stats.NewRegistry(),
 	}
 	m.mHeartbeats = m.metrics.Counter("heartbeats_observed")
 	m.mDigests = m.metrics.Counter("digests_observed")
@@ -229,7 +228,6 @@ func NewMonitor(cat naming.Catalog, opts Options) *Monitor {
 	m.mDeads = m.metrics.Counter("transitions_dead")
 	m.mRevives = m.metrics.Counter("transitions_alive")
 	m.mLefts = m.metrics.Counter("transitions_left")
-	m.mEvidence = m.metrics.Counter("evidence_reports")
 	m.mScans = m.metrics.Counter("catalog_scans")
 	m.hDetectDelay = m.metrics.Histogram("detect_delay_us", stats.LatencyBucketsUs)
 	m.startWatch()
@@ -299,14 +297,6 @@ func (m *Monitor) Subscribe(buf int) (<-chan Event, func()) {
 	return ch, cancel
 }
 
-// Events returns a new subscription to state-transition events that
-// lives until Close — Subscribe with no way to cancel early, kept for
-// consumers whose lifetime matches the monitor's.
-func (m *Monitor) Events() <-chan Event {
-	ch, _ := m.Subscribe(0)
-	return ch
-}
-
 // Snapshot reports every tracked host.
 func (m *Monitor) Snapshot() []Info {
 	now := time.Now()
@@ -322,7 +312,6 @@ func (m *Monitor) Snapshot() []Info {
 			Load:         rec.load,
 			Age:          now.Sub(rec.lastBeat),
 			SuspectAfter: m.suspectBoundLocked(rec),
-			Failures:     rec.failures,
 		})
 	}
 	return out
@@ -347,95 +336,7 @@ func (m *Monitor) MetricsSnapshot() stats.Snapshot {
 	return m.metrics.Snapshot()
 }
 
-// MarkSuspect forces a host into Suspect — the entry point for
-// out-of-band evidence (an operator, a failed health probe, an
-// evacuation drill). A later heartbeat revives the host as usual.
-func (m *Monitor) MarkSuspect(hostURL, reason string) {
-	m.mu.Lock()
-	rec := m.recordLocked(hostURL)
-	var ev *Event
-	if rec.state == Alive || rec.state == Unknown {
-		ev = m.transitionLocked(hostURL, rec, Suspect, reason)
-	}
-	m.mu.Unlock()
-	m.emit(ev)
-}
-
-// ReportFailure feeds one comm-layer send failure as suspicion
-// evidence. Enough consecutive failures against a host we have not
-// heard from recently force Suspect ahead of the heartbeat timeout.
-func (m *Monitor) ReportFailure(hostURL string) {
-	if m.opts.FailureThreshold < 0 {
-		return
-	}
-	m.mEvidence.Inc()
-	now := time.Now()
-	m.mu.Lock()
-	rec, ok := m.hosts[hostURL]
-	if !ok {
-		// No heartbeat record: nothing to corroborate against.
-		m.mu.Unlock()
-		return
-	}
-	rec.failures++
-	var ev *Event
-	if rec.failures >= m.opts.FailureThreshold && rec.state == Alive {
-		// Corroborate: only indict when the heartbeat is also late by at
-		// least one expected interval, so a dead task endpoint on a
-		// healthy host cannot condemn the host.
-		if mean, _, n := rec.intervalStats(); n > 0 && now.Sub(rec.lastBeat) > mean {
-			ev = m.transitionLocked(hostURL, rec, Suspect, "comm send failures")
-		}
-	}
-	m.mu.Unlock()
-	m.emit(ev)
-}
-
-// ReportSuccess feeds one successful end-to-end acknowledgement:
-// direct proof of life that clears accumulated failure evidence and
-// refutes suspicion.
-func (m *Monitor) ReportSuccess(hostURL string) {
-	m.mu.Lock()
-	rec, ok := m.hosts[hostURL]
-	var ev *Event
-	if ok {
-		rec.failures = 0
-		if rec.state == Suspect {
-			ev = m.transitionLocked(hostURL, rec, Alive, "acknowledged traffic")
-		}
-	}
-	m.mu.Unlock()
-	m.emit(ev)
-}
-
-// CommLiveness adapts the monitor to the comm layer's PeerLiveness
-// surface, mapping process URNs to their host records.
-func (m *Monitor) CommLiveness() comm.PeerLiveness { return commAdapter{m} }
-
-type commAdapter struct{ m *Monitor }
-
-func (a commAdapter) PeerDead(dst string) bool {
-	host := HostOfURN(dst)
-	if host == "" {
-		return false
-	}
-	s := a.m.State(host)
-	return s == Dead || s == Left
-}
-
-func (a commAdapter) ReportFailure(dst string) {
-	if host := HostOfURN(dst); host != "" {
-		a.m.ReportFailure(host)
-	}
-}
-
-func (a commAdapter) ReportSuccess(dst string) {
-	if host := HostOfURN(dst); host != "" {
-		a.m.ReportSuccess(host)
-	}
-}
-
-// --- heartbeat intake ----------------------------------------------------
+// --- claim intake --------------------------------------------------------
 
 // recordLocked returns (creating if needed) the record for hostURL.
 func (m *Monitor) recordLocked(hostURL string) *hostRecord {
@@ -447,57 +348,29 @@ func (m *Monitor) recordLocked(hostURL string) *hostRecord {
 	return rec
 }
 
-// observe ingests one heartbeat value for a host. now is the local
-// arrival time (the adaptive bound is built from local inter-arrival
-// gaps, never from sender clocks).
-func (m *Monitor) observe(hostURL, value string, now time.Time) {
-	hb, err := ParseHeartbeat(value)
-	if err != nil {
+// observeClaim ingests the claim a host keeps in its own per-host
+// record: the Left claim a clean shutdown writes, or the alive claims
+// of a writer that publishes liveness by hand. A claim must name the
+// record's own host and carry an (incarnation, sequence) strictly past
+// the host's claim mark; anything else is a replay or foreign metadata
+// and contributes no evidence. now is the local arrival time (the
+// adaptive bound is built from local inter-arrival gaps, never from
+// sender clocks).
+func (m *Monitor) observeClaim(hostURL, value string, now time.Time) {
+	u, err := gossip.ParseClaim(value)
+	if err != nil || u.Host != hostURL {
 		return // tolerate foreign records in open metadata
 	}
-	var ev *Event
 	m.mu.Lock()
-	rec := m.recordLocked(hostURL)
-	rec.lastSeen = now
-	switch {
-	case hb.Down:
-		if rec.state != Left {
-			ev = m.transitionLocked(hostURL, rec, Left, "clean shutdown")
-		}
-		rec.seq = hb.Seq
-	case hb.Seq > rec.seq || rec.state == Left ||
-		(rec.state == Dead && rec.inc == 0 && hb.Seq < rec.seq):
-		// A restarted daemon begins a new incarnation at seq 1: any
-		// heartbeat after a tombstone is such a rebirth, and so is a
-		// LOWER-seq heartbeat after a death verdict on a legacy record —
-		// without that clause a reborn host stays Dead until its new
-		// counter outruns its old one. Gossip-fed records (inc > 0)
-		// instead revive through their agent's boot-derived incarnation;
-		// for them the frozen startup heartbeat a crashed host leaves in
-		// the catalog must not keep resurrecting the record. An equal-seq
-		// re-read of the final pre-death heartbeat stays old news.
-		m.mHeartbeats.Inc()
-		if !rec.lastBeat.IsZero() && hb.Seq > rec.seq && rec.state != Left {
-			// The catalog may batch several beats between scans: spread
-			// the elapsed time over the sequence distance so the history
-			// reflects the sender's cadence, not our scan cadence.
-			gap := now.Sub(rec.lastBeat) / time.Duration(hb.Seq-rec.seq)
-			if gap > 0 {
-				rec.pushInterval(gap)
-			}
-		}
-		rec.seq = hb.Seq
-		rec.load = hb.Load
-		rec.lastBeat = now
-		rec.failures = 0
-		if rec.state != Alive {
-			ev = m.transitionLocked(hostURL, rec, Alive, "heartbeat")
-		}
-	default:
-		// Old news (same or earlier seq): no new liveness information.
+	mark, seen := m.claimMarks[hostURL]
+	if seen && (u.Inc < mark.inc || u.Inc == mark.inc && u.Seq <= mark.seq) {
+		m.mu.Unlock()
+		return
 	}
+	m.claimMarks[hostURL] = claimMark{inc: u.Inc, seq: u.Seq}
 	m.mu.Unlock()
-	m.emit(ev)
+	m.mHeartbeats.Inc()
+	m.ObserveGossipQuorum(u, true, now)
 }
 
 // --- gossip digest intake ------------------------------------------------
@@ -636,7 +509,6 @@ func (m *Monitor) ObserveGossipQuorum(u gossip.Update, quorum bool, now time.Tim
 			// cannot keep a crashed group alive. A record under a
 			// verdict (Suspect/Dead/Left) still demands seq progress.
 			rec.lastBeat = now
-			rec.failures = 0
 		}
 		m.mu.Unlock()
 		return
@@ -660,7 +532,6 @@ func (m *Monitor) ObserveGossipQuorum(u gossip.Update, quorum bool, now time.Tim
 			rec.aliveSeq = u.Seq
 		}
 		rec.lastBeat = now
-		rec.failures = 0
 		if rec.state != Alive {
 			if !quorum && !incAdvance && (rec.state == Dead || rec.state == Left) {
 				// Minority evidence refreshes but cannot resurrect.
@@ -726,30 +597,21 @@ func (r *hostRecord) intervalStats() (mean, std time.Duration, n int) {
 }
 
 // suspectBoundLocked computes the current suspicion bound for a host:
-// adaptive (mean + 4σ, floored at 2.5× the mean so steady cadences get
-// slack for scheduling noise) unless the fixed-deadline ablation is
-// active. With no history yet, the cap applies. Caller holds m.mu.
+// adaptive, mean + 4σ of the inter-arrival history, floored at 5× the
+// mean. Every member of a gossip group refreshes on the group's single
+// digest cadence, so a crashed reporter stalls them all together until
+// another member detects the death and takes over (~2-3 probe
+// intervals); the floor must span that failover gap, or the whole
+// group is falsely suspected in unison. Actual failures are still
+// detected faster through the digests' own suspect/dead verdicts. With
+// no history yet, the cap applies. Caller holds m.mu.
 func (m *Monitor) suspectBoundLocked(rec *hostRecord) time.Duration {
-	if m.opts.FixedSuspect > 0 {
-		return m.opts.FixedSuspect
-	}
 	mean, std, n := rec.intervalStats()
 	if n == 0 {
 		return m.opts.MaxSuspect
 	}
 	bound := mean + 4*std
-	floor := mean * 5 / 2
-	if rec.inc > 0 {
-		// Digest-fed record: every member of a gossip group refreshes on
-		// the group's single write cadence, so a crashed reporter stalls
-		// them all together until another member detects the death and
-		// takes over (~2-3 probe intervals). The floor must span that
-		// failover gap, or the whole group is falsely suspected in
-		// unison; actual failures are still detected faster through the
-		// digests' own suspect/dead verdicts.
-		floor = mean * 5
-	}
-	if bound < floor {
+	if floor := mean * 5; bound < floor {
 		bound = floor
 	}
 	if bound < m.opts.MinSuspect {
@@ -820,11 +682,11 @@ func (m *Monitor) emit(ev *Event) {
 
 // --- watch plumbing ------------------------------------------------------
 
-// startWatch wires heartbeat intake to the cheapest channel the
-// catalog offers: push events, version long-poll, or periodic scan.
-// For push catalogs the subscription is registered here, synchronously,
-// so no heartbeat written after NewMonitor returns can fall between
-// the seed scan and the subscription becoming active.
+// startWatch wires claim intake to the cheapest channel the catalog
+// offers: push events, version long-poll, or periodic scan. For push
+// catalogs the subscription is registered here, synchronously, so no
+// claim written after NewMonitor returns can fall between the seed
+// scan and the subscription becoming active.
 func (m *Monitor) startWatch() {
 	m.wg.Add(1)
 	switch c := m.cat.(type) {
@@ -843,8 +705,8 @@ func (m *Monitor) startWatch() {
 	}
 }
 
-// watchSubscribe rides a store's push subscription: every heartbeat
-// and group-digest assertion lands here as it is applied.
+// watchSubscribe rides a store's push subscription: every per-host
+// claim and group-digest assertion lands here as it is applied.
 func (m *Monitor) watchSubscribe(sub subscriber, id, gid int, ch chan rcds.Event) {
 	defer m.wg.Done()
 	defer sub.Unsubscribe(id)
@@ -860,7 +722,7 @@ func (m *Monitor) watchSubscribe(sub subscriber, id, gid int, ch chan rcds.Event
 			}
 			switch a.Name {
 			case rcds.AttrHeartbeat:
-				m.observe(a.URI, a.Value, time.Now())
+				m.observeClaim(a.URI, a.Value, time.Now())
 			case rcds.AttrGroupDigest:
 				m.observeDigest(a.Value, time.Now())
 			}
@@ -869,7 +731,7 @@ func (m *Monitor) watchSubscribe(sub subscriber, id, gid int, ch chan rcds.Event
 }
 
 // watchWait rides a remote RC client's Wait long-poll: when the
-// replica's version advances, rescan the host records. Subscription
+// replica's version advances, rescan the catalog. Subscription
 // events are not available across the wire, so the scan granularity is
 // the notification latency — still push-shaped, not timer-shaped.
 func (m *Monitor) watchWait(w waiter) {
@@ -913,7 +775,7 @@ func (m *Monitor) watchScan() {
 	}
 }
 
-// scan reads every host record's heartbeat and every group digest from
+// scan reads every host's per-host claim and every group digest from
 // the catalog. Catalog errors are tolerated: an unreachable catalog
 // stalls intake, and the silence is indistinguishable from host
 // failure — exactly the partition semantics the detector is specified
@@ -927,7 +789,7 @@ func (m *Monitor) scan() {
 			if err != nil || !ok {
 				continue
 			}
-			m.observe(url, v, now)
+			m.observeClaim(url, v, now)
 		}
 	}
 	if uris, err := m.cat.URIs(naming.LivenessPrefix); err == nil {
@@ -983,14 +845,14 @@ func (m *Monitor) evaluate(now time.Time) {
 		switch rec.state {
 		case Unknown, Alive:
 			if age > deadBound {
-				evs = append(evs, m.transitionLocked(url, rec, Dead, "heartbeat timeout"))
+				evs = append(evs, m.transitionLocked(url, rec, Dead, "claim timeout"))
 				m.hDetectDelay.Observe(float64(age.Microseconds()))
 			} else if age > bound {
-				evs = append(evs, m.transitionLocked(url, rec, Suspect, "heartbeat overdue"))
+				evs = append(evs, m.transitionLocked(url, rec, Suspect, "claim overdue"))
 			}
 		case Suspect:
 			if age > deadBound {
-				evs = append(evs, m.transitionLocked(url, rec, Dead, "heartbeat timeout"))
+				evs = append(evs, m.transitionLocked(url, rec, Dead, "claim timeout"))
 				m.hDetectDelay.Observe(float64(age.Microseconds()))
 			}
 		}

@@ -5,33 +5,35 @@ import (
 	"testing"
 	"time"
 
+	"snipe/internal/gossip"
 	"snipe/internal/naming"
 	"snipe/internal/rcds"
 )
 
+// TestHeartbeatRoundTrip: a claim written to a host's heartbeat
+// attribute in the member-entry format reaches the monitor intact,
+// while malformed values, the retired "<seq> <unixnano> <load>" format
+// and a claim naming another host are ignored as foreign metadata.
 func TestHeartbeatRoundTrip(t *testing.T) {
-	cases := []Heartbeat{
-		{Seq: 1, Time: 1234567890, Load: 0},
-		{Seq: 42, Time: 987654321000, Load: 2.5},
-		{Seq: 7, Time: 1, Load: 0.33, Down: true},
+	w := newBeatWorld(t, slowOptions())
+	for _, bad := range []string{
+		"",
+		"1 1234567890 0.50",
+		"7 1 0.33 down",
+		w.host + ",1,2,z,0.5",
+		gossip.FormatClaim(gossip.Update{Host: naming.HostURL("other"), Inc: 1, Seq: 1, State: gossip.StateAlive}),
+	} {
+		w.cat.Set(w.host, rcds.AttrHeartbeat, bad)
 	}
-	for _, hb := range cases {
-		got, err := ParseHeartbeat(hb.String())
-		if err != nil {
-			t.Fatalf("%q: %v", hb.String(), err)
-		}
-		if got.Seq != hb.Seq || got.Time != hb.Time || got.Down != hb.Down {
-			t.Fatalf("round trip: %+v -> %+v", hb, got)
-		}
-		// Load survives at the printed precision.
-		if diff := got.Load - hb.Load; diff > 0.005 || diff < -0.005 {
-			t.Fatalf("load round trip: %v -> %v", hb.Load, got.Load)
-		}
+	want := gossip.Update{Host: w.host, Inc: 3, Seq: 42, State: gossip.StateAlive, Load: 2.5}
+	w.cat.Set(w.host, rcds.AttrHeartbeat, gossip.FormatClaim(want))
+	w.waitState(Alive, time.Second)
+	if got := w.mon.Metrics().Counter("heartbeats_observed").Value(); got != 1 {
+		t.Fatalf("heartbeats_observed = %d, want 1 (foreign values ignored)", got)
 	}
-	for _, bad := range []string{"", "1", "1 2", "1 2 3 4 5", "x 2 3", "1 y 3", "1 2 z", "1 2 3 up"} {
-		if _, err := ParseHeartbeat(bad); err == nil {
-			t.Fatalf("ParseHeartbeat(%q) accepted", bad)
-		}
+	info := w.mon.Snapshot()
+	if len(info) != 1 || info[0].Inc != want.Inc || info[0].Seq != want.Seq || info[0].Load != want.Load {
+		t.Fatalf("snapshot after claim: %+v", info)
 	}
 }
 
@@ -50,15 +52,15 @@ func TestHostLoadLegacyFallback(t *testing.T) {
 	store := rcds.NewStore("hl")
 	cat := naming.StoreCatalog(store)
 	host := naming.HostURL("h1")
-	// Legacy standalone load attribute only.
+	// A hand-published record: the standalone load attribute only.
 	cat.Set(host, rcds.AttrLoad, "1.50")
 	if load, ok := HostLoad(cat, host); !ok || load != 1.5 {
 		t.Fatalf("legacy: %v %v", load, ok)
 	}
-	// A heartbeat takes precedence.
-	cat.Set(host, rcds.AttrHeartbeat, Heartbeat{Seq: 3, Time: 1, Load: 2.25}.String())
-	if load, ok := HostLoad(cat, host); !ok || load != 2.25 {
-		t.Fatalf("heartbeat: %v %v", load, ok)
+	// A per-host claim is liveness evidence, not a load source.
+	cat.Set(host, rcds.AttrHeartbeat, gossip.FormatClaim(gossip.Update{Host: host, Inc: 1, Seq: 3, State: gossip.StateLeft, Load: 2.25}))
+	if load, ok := HostLoad(cat, host); !ok || load != 1.5 {
+		t.Fatalf("claim overrode the load attribute: %v %v", load, ok)
 	}
 	if _, ok := HostLoad(cat, naming.HostURL("ghost")); ok {
 		t.Fatal("ghost host reported a load")
@@ -84,42 +86,30 @@ func TestAdaptiveSuspectBound(t *testing.T) {
 	if got := m.suspectBoundLocked(rec); got != m.opts.MaxSuspect {
 		t.Fatalf("no history bound = %v", got)
 	}
-	// A perfectly steady 10ms cadence: zero variance, so the 2.5×mean
-	// floor provides the slack.
+	// A perfectly steady 10ms cadence: zero variance, so the 5×mean
+	// floor provides the slack — the whole group refreshes on one
+	// reporter's cadence, so the bound must span a reporter-failover gap.
 	for i := 0; i < historySize; i++ {
 		rec.pushInterval(10 * time.Millisecond)
 	}
-	if got := m.suspectBoundLocked(rec); got != 25*time.Millisecond {
-		t.Fatalf("steady bound = %v, want 25ms", got)
+	if got := m.suspectBoundLocked(rec); got != 50*time.Millisecond {
+		t.Fatalf("steady bound = %v, want 50ms", got)
 	}
-	// A jittery cadence widens the bound past the floor.
+	// A cadence with rare long gaps widens the bound past the floor.
 	jittery := &hostRecord{}
 	for i := 0; i < historySize; i++ {
-		d := 10 * time.Millisecond
-		if i%2 == 0 {
-			d = 30 * time.Millisecond
+		d := time.Millisecond
+		if i == 0 {
+			d = 300 * time.Millisecond
 		}
 		jittery.pushInterval(d)
 	}
 	mean, std, _ := jittery.intervalStats()
-	if got := m.suspectBoundLocked(jittery); got < mean+4*std {
-		t.Fatalf("jittery bound %v < mean+4σ (%v)", got, mean+4*std)
+	if mean+4*std <= 5*mean {
+		t.Fatalf("fixture too steady: mean %v σ %v", mean, std)
 	}
-	// A digest-fed record (gossip incarnation seen) gets a wider floor:
-	// the whole group refreshes on one reporter's cadence, so the bound
-	// must span a reporter-failover gap.
-	digestFed := &hostRecord{inc: 1}
-	for i := 0; i < historySize; i++ {
-		digestFed.pushInterval(10 * time.Millisecond)
-	}
-	if got := m.suspectBoundLocked(digestFed); got != 50*time.Millisecond {
-		t.Fatalf("digest-fed bound = %v, want 50ms", got)
-	}
-
-	// The fixed-deadline ablation overrides everything.
-	m.opts.FixedSuspect = 123 * time.Millisecond
-	if got := m.suspectBoundLocked(jittery); got != 123*time.Millisecond {
-		t.Fatalf("fixed bound = %v", got)
+	if got := m.suspectBoundLocked(jittery); got != mean+4*std {
+		t.Fatalf("jittery bound %v, want mean+4σ (%v)", got, mean+4*std)
 	}
 }
 
@@ -139,8 +129,9 @@ func TestIntervalRingWraps(t *testing.T) {
 	}
 }
 
-// beatWorld is a store-backed monitor with a helper for publishing
-// heartbeats by hand.
+// beatWorld is a store-backed monitor with a helper for publishing a
+// host's per-host claims by hand, at a fixed incarnation and a rising
+// sequence.
 type beatWorld struct {
 	t    *testing.T
 	cat  naming.Catalog
@@ -158,15 +149,18 @@ func newBeatWorld(t *testing.T, opts Options) *beatWorld {
 	return &beatWorld{t: t, cat: cat, mon: mon, host: naming.HostURL("h1")}
 }
 
-func (w *beatWorld) beat(load float64) {
+// beatInc is the incarnation beatWorld claims are written at.
+const beatInc = 1
+
+func (w *beatWorld) claim(inc uint64, state uint8, load float64) {
 	w.seq++
-	w.cat.Set(w.host, rcds.AttrHeartbeat, Heartbeat{Seq: w.seq, Time: time.Now().UnixNano(), Load: load}.String())
+	u := gossip.Update{Host: w.host, Inc: inc, Seq: w.seq, State: state, Load: load}
+	w.cat.Set(w.host, rcds.AttrHeartbeat, gossip.FormatClaim(u))
 }
 
-func (w *beatWorld) tombstone() {
-	w.seq++
-	w.cat.Set(w.host, rcds.AttrHeartbeat, Heartbeat{Seq: w.seq, Time: time.Now().UnixNano(), Down: true}.String())
-}
+func (w *beatWorld) beat(load float64) { w.claim(beatInc, gossip.StateAlive, load) }
+
+func (w *beatWorld) tombstone() { w.claim(beatInc, gossip.StateLeft, 0) }
 
 func (w *beatWorld) waitState(want State, d time.Duration) {
 	w.t.Helper()
@@ -193,9 +187,10 @@ func quickOptions() Options {
 
 func TestMonitorStateMachine(t *testing.T) {
 	w := newBeatWorld(t, quickOptions())
-	events := w.mon.Events()
+	events, cancel := w.mon.Subscribe(0)
+	defer cancel()
 
-	// Heartbeats at a steady cadence: alive.
+	// Claims at a steady cadence: alive.
 	for i := 0; i < 8; i++ {
 		w.beat(1.0)
 		time.Sleep(5 * time.Millisecond)
@@ -222,7 +217,7 @@ func TestMonitorStateMachine(t *testing.T) {
 		t.Fatalf("transition trace %q does not end alive→suspect→dead", trace)
 	}
 
-	// A fresh (higher-seq) heartbeat revives even a dead host.
+	// A fresh (higher-seq) claim revives even a dead host.
 	w.beat(0.5)
 	w.waitState(Alive, time.Second)
 	if info := w.mon.Snapshot(); len(info) != 1 || info[0].Load != 0.5 {
@@ -230,33 +225,10 @@ func TestMonitorStateMachine(t *testing.T) {
 	}
 }
 
-func TestLegacyRebirthAtLowerSeq(t *testing.T) {
-	w := newBeatWorld(t, quickOptions())
-	for i := 0; i < 6; i++ {
-		w.beat(1.0)
-		time.Sleep(5 * time.Millisecond)
-	}
-	w.waitState(Alive, time.Second)
-	w.waitState(Dead, 2*time.Second) // silence ages it out
-
-	// A re-read of the final pre-death heartbeat (equal seq, fresh
-	// timestamp) is old news, not a revival.
-	w.cat.Set(w.host, rcds.AttrHeartbeat, Heartbeat{Seq: w.seq, Time: time.Now().UnixNano(), Load: 1}.String())
-	time.Sleep(25 * time.Millisecond)
-	if got := w.mon.State(w.host); got != Dead {
-		t.Fatalf("equal-seq re-read revived a dead host: %v", got)
-	}
-
-	// The restarted daemon begins a new life at seq 1 — far below the
-	// dead record's counter. For a legacy (heartbeat-only) record that
-	// lower-seq beat is the rebirth signal.
-	w.cat.Set(w.host, rcds.AttrHeartbeat, Heartbeat{Seq: 1, Time: time.Now().UnixNano(), Load: 0.25}.String())
-	w.waitState(Alive, time.Second)
-}
-
 func TestTombstoneGoesToLeftNeverSuspect(t *testing.T) {
 	w := newBeatWorld(t, quickOptions())
-	events := w.mon.Events()
+	events, cancel := w.mon.Subscribe(0)
+	defer cancel()
 	for i := 0; i < 5; i++ {
 		w.beat(0)
 		time.Sleep(5 * time.Millisecond)
@@ -282,100 +254,18 @@ func TestTombstoneGoesToLeftNeverSuspect(t *testing.T) {
 		}
 	}
 
-	// Any heartbeat after a tombstone is a new incarnation, even at a
-	// lower sequence number.
-	w.cat.Set(w.host, rcds.AttrHeartbeat, Heartbeat{Seq: 1, Time: time.Now().UnixNano(), Load: 0}.String())
+	// The restarted host claims a new incarnation, its sequence
+	// restarting far below the departed life's.
+	w.seq = 0
+	w.claim(beatInc+1, gossip.StateAlive, 0)
 	w.waitState(Alive, time.Second)
-}
-
-func TestEvidencePath(t *testing.T) {
-	w := newBeatWorld(t, Options{
-		CheckInterval: time.Hour, // timeouts out of the picture
-		MinSuspect:    time.Hour,
-		MaxSuspect:    2 * time.Hour,
-	})
-	// Two beats build one inter-arrival sample, then the host goes
-	// quiet so failures can corroborate.
-	w.beat(0)
-	time.Sleep(10 * time.Millisecond)
-	w.beat(0)
-	w.waitState(Alive, time.Second)
-	time.Sleep(30 * time.Millisecond) // age past the ~10ms mean interval
-
-	// Unknown hosts are never indicted by evidence alone.
-	w.mon.ReportFailure(naming.HostURL("stranger"))
-	if got := w.mon.State(naming.HostURL("stranger")); got != Unknown {
-		t.Fatalf("stranger state = %v", got)
-	}
-
-	for i := 0; i < 3; i++ { // default FailureThreshold
-		w.mon.ReportFailure(w.host)
-	}
-	if got := w.mon.State(w.host); got != Suspect {
-		t.Fatalf("after failures: %v", got)
-	}
-	// An acknowledgement is proof of life: suspicion is refuted and the
-	// failure tally cleared.
-	w.mon.ReportSuccess(w.host)
-	if got := w.mon.State(w.host); got != Alive {
-		t.Fatalf("after success: %v", got)
-	}
-	w.mon.ReportFailure(w.host) // 1 of 3: stays alive
-	if got := w.mon.State(w.host); got != Alive {
-		t.Fatalf("tally not reset: %v", got)
-	}
-}
-
-func TestEvidenceNeedsLateHeartbeat(t *testing.T) {
-	w := newBeatWorld(t, Options{CheckInterval: time.Hour, MinSuspect: time.Hour, MaxSuspect: 2 * time.Hour})
-	// A steady stream of fresh beats: send failures alone (a crashed
-	// task endpoint, say) must not condemn the host.
-	w.beat(0)
-	time.Sleep(5 * time.Millisecond)
-	w.beat(0)
-	w.waitState(Alive, time.Second)
-	w.beat(0) // fresh beat right now: age ≈ 0 < mean
-	for i := 0; i < 10; i++ {
-		w.mon.ReportFailure(w.host)
-	}
-	if got := w.mon.State(w.host); got != Alive {
-		t.Fatalf("fresh host indicted by evidence: %v", got)
-	}
-}
-
-func TestMarkSuspectAndCommAdapter(t *testing.T) {
-	w := newBeatWorld(t, Options{CheckInterval: time.Hour, MinSuspect: time.Hour, MaxSuspect: 2 * time.Hour})
-	w.beat(0)
-	w.waitState(Alive, time.Second)
-
-	w.mon.MarkSuspect(w.host, "drill")
-	if got := w.mon.State(w.host); got != Suspect {
-		t.Fatalf("after MarkSuspect: %v", got)
-	}
-
-	cl := w.mon.CommLiveness()
-	urn := "urn:snipe:process:h1:counter-1"
-	if cl.PeerDead(urn) {
-		t.Fatal("suspect peer reported dead") // suspect ≠ dead: sends still buffered
-	}
-	w.tombstone()
-	w.waitState(Left, time.Second)
-	if !cl.PeerDead(urn) {
-		t.Fatal("departed peer not reported dead")
-	}
-	if cl.PeerDead("urn:not-a-process") {
-		t.Fatal("foreign URN reported dead")
-	}
-
-	// The adapter routes evidence through the URN→host mapping.
-	cl.ReportSuccess(urn) // no-op on a Left host, but must not panic
-	cl.ReportFailure("urn:not-a-process")
 }
 
 func TestMonitorSeedsFromExistingRecords(t *testing.T) {
 	store := rcds.NewStore("seed-test")
 	cat := naming.StoreCatalog(store)
-	cat.Set(naming.HostURL("pre"), rcds.AttrHeartbeat, Heartbeat{Seq: 9, Time: time.Now().UnixNano(), Load: 1}.String())
+	pre := gossip.Update{Host: naming.HostURL("pre"), Inc: beatInc, Seq: 9, State: gossip.StateAlive, Load: 1}
+	cat.Set(pre.Host, rcds.AttrHeartbeat, gossip.FormatClaim(pre))
 	mon := NewMonitor(cat, quickOptions())
 	defer mon.Close()
 	if got := mon.State(naming.HostURL("pre")); got != Alive {

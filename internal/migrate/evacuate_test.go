@@ -4,9 +4,31 @@ import (
 	"testing"
 	"time"
 
+	"snipe/internal/gossip"
 	"snipe/internal/liveness"
 	"snipe/internal/task"
+	"snipe/internal/testutil"
 )
+
+// suspect feeds the monitor a gossip suspicion of host — the intake
+// every production verdict takes — at the incarnation it tracks once
+// the host's digest claims have arrived. The claim's sequence runs far
+// ahead of the live daemon's own, so its next digest cannot refute the
+// suspicion mid-test.
+func suspect(t *testing.T, mon *liveness.Monitor, host string) {
+	t.Helper()
+	var cur liveness.Info
+	testutil.WaitFor(t, 5*time.Second, func() bool {
+		for _, info := range mon.Snapshot() {
+			if info.Host == host && info.Inc > 0 {
+				cur = info
+				return true
+			}
+		}
+		return false
+	}, "monitor never tracked "+host)
+	mon.ObserveGossip(gossip.Update{Host: host, Inc: cur.Inc, Seq: cur.Seq + 1<<20, State: gossip.StateSuspect})
+}
 
 func TestEvacuatorMovesTasksOffSuspectHost(t *testing.T) {
 	w := newWorld(t)
@@ -40,7 +62,7 @@ func TestEvacuatorMovesTasksOffSuspectHost(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	mon.MarkSuspect(d1.HostURL(), "drill")
+	suspect(t, mon, d1.HostURL())
 	select {
 	case r := <-results:
 		if r.Err != nil {
@@ -91,7 +113,7 @@ func TestEvacuatorRefusesSuspectDestination(t *testing.T) {
 	if _, err := d1.Spawn(task.Spec{Program: "counter"}); err != nil {
 		t.Fatal(err)
 	}
-	mon.MarkSuspect(d1.HostURL(), "drill")
+	suspect(t, mon, d1.HostURL())
 	select {
 	case r := <-results:
 		if r.Err == nil {

@@ -34,11 +34,11 @@ const (
 	AttrMcastRouter = "mcast-router"
 	// AttrLoad is a host's load average, published by its daemon.
 	AttrLoad = "load"
-	// AttrHeartbeat is a host daemon's liveness heartbeat: a
-	// monotonically increasing sequence number, a wall-clock timestamp
-	// and the current load in one value (see internal/liveness), so one
-	// replicated write per beat carries both liveness and placement
-	// input. A trailing "down" marks a clean shutdown tombstone.
+	// AttrHeartbeat is a host's own liveness claim, in the gossip
+	// digest's member-entry format (gossip.FormatClaim): the Left claim
+	// a daemon's clean shutdown writes, or the alive claims of a host
+	// that publishes liveness by hand. Daemons publish liveness during
+	// life through their group's digest (AttrGroupDigest).
 	AttrHeartbeat = "heartbeat"
 	// AttrMemory is a host's available memory in MB.
 	AttrMemory = "memory-mb"
@@ -54,7 +54,7 @@ const (
 	AttrProtocol = "protocol"
 	// AttrServiceReplica is one replica's endpoint URN, published under
 	// a service-group URN (repeatable; see internal/service). Load and
-	// liveness for the replica ride its host's heartbeat, so joining a
+	// liveness for the replica ride its host's gossip claims, so joining a
 	// group costs exactly one extra assertion.
 	AttrServiceReplica = "service-replica"
 	// AttrGroupDigest is a gossip group's liveness digest, published by

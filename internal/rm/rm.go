@@ -84,9 +84,9 @@ type Manager struct {
 	authorizer   *seckey.Authorizer // nil: secure allocation disabled
 	closed       bool
 
-	mon       *liveness.Monitor // optional failure detector (UseLiveness)
-	watchDone chan struct{}
-	watchWG   sync.WaitGroup
+	mon         *liveness.Monitor // optional failure detector (UseLiveness)
+	unsubscribe func()            // cancels the monitor subscription
+	watchWG     sync.WaitGroup
 }
 
 // NewManager creates and registers a resource manager. listens
@@ -132,31 +132,23 @@ func (m *Manager) URN() string { return m.urn }
 // re-reports tasks stranded on hosts declared dead — publishing their
 // failure and notifying their notify lists, the paper's "failure
 // notification" applied to orphaned work. The monitor is not owned:
-// the caller closes it.
+// the caller closes it; Close cancels the manager's subscription.
 func (m *Manager) UseLiveness(mon *liveness.Monitor) {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	if m.mon != nil || m.closed {
-		m.mu.Unlock()
 		return
 	}
+	events, cancel := mon.Subscribe(0)
 	m.mon = mon
-	m.watchDone = make(chan struct{})
-	m.mu.Unlock()
-	events := mon.Events()
+	m.unsubscribe = cancel
 	m.watchWG.Add(1)
 	go func() {
 		defer m.watchWG.Done()
-		for {
-			select {
-			case <-m.watchDone:
-				return
-			case ev, ok := <-events:
-				if !ok {
-					return
-				}
-				if ev.To == liveness.Dead {
-					m.reportDeadHost(ev.Host)
-				}
+		// The channel closes on cancel (Manager.Close) or Monitor.Close.
+		for ev := range events {
+			if ev.To == liveness.Dead {
+				m.reportDeadHost(ev.Host)
 			}
 		}
 	}()
@@ -201,10 +193,10 @@ func (m *Manager) Close() {
 		return
 	}
 	m.closed = true
-	watchDone := m.watchDone
+	unsubscribe := m.unsubscribe
 	m.mu.Unlock()
-	if watchDone != nil {
-		close(watchDone)
+	if unsubscribe != nil {
+		unsubscribe()
 		m.watchWG.Wait()
 	}
 	m.cat.Remove(naming.ServiceURN(ServiceName), rcds.AttrLocation, m.urn)
@@ -265,7 +257,7 @@ func (m *Manager) SelectHost(req task.Requirements) (hostURL, daemonURN string, 
 	for _, h := range infos {
 		// Liveness filter: never place on a host the detector calls
 		// suspect, dead, or cleanly departed. Unknown passes — a record
-		// with no heartbeat history predates the monitor, not the host's
+		// with no liveness claims predates the monitor, not the host's
 		// death.
 		if mon != nil && !mon.State(h.url).Placeable() {
 			continue

@@ -8,6 +8,7 @@ import (
 
 	"snipe/internal/comm"
 	"snipe/internal/daemon"
+	"snipe/internal/gossip"
 	"snipe/internal/liveness"
 	"snipe/internal/naming"
 	"snipe/internal/rcds"
@@ -314,7 +315,7 @@ func TestSelectHostFiltersUnplaceableHosts(t *testing.T) {
 	m.UseLiveness(mon)
 
 	// By name order h1 wins ties; suspecting it must flip placement.
-	mon.MarkSuspect(naming.HostURL("h1"), "test")
+	suspect(t, mon, naming.HostURL("h1"))
 	host, _, err := m.SelectHost(task.Requirements{})
 	if err != nil || host != naming.HostURL("h2") {
 		t.Fatalf("suspect host not filtered: %q %v", host, err)
@@ -324,8 +325,60 @@ func TestSelectHostFiltersUnplaceableHosts(t *testing.T) {
 		t.Fatalf("pinned suspect host: %v", err)
 	}
 	// With both hosts unplaceable placement fails outright.
-	mon.MarkSuspect(naming.HostURL("h2"), "test")
+	suspect(t, mon, naming.HostURL("h2"))
 	if _, _, err := m.SelectHost(task.Requirements{}); !errors.Is(err, ErrNoHosts) {
 		t.Fatalf("want ErrNoHosts with all hosts suspect, got %v", err)
+	}
+}
+
+// suspect feeds the monitor a gossip suspicion of host — the intake
+// every production verdict takes — at the incarnation it tracks once
+// the host's digest claims have arrived. The claim's sequence runs far
+// ahead of the live daemon's own, so its next digest cannot refute the
+// suspicion mid-test.
+func suspect(t *testing.T, mon *liveness.Monitor, host string) {
+	t.Helper()
+	var cur liveness.Info
+	testutil.WaitFor(t, 5*time.Second, func() bool {
+		for _, info := range mon.Snapshot() {
+			if info.Host == host && info.Inc > 0 {
+				cur = info
+				return true
+			}
+		}
+		return false
+	}, "monitor never tracked "+host)
+	mon.ObserveGossip(gossip.Update{Host: host, Inc: cur.Inc, Seq: cur.Seq + 1<<20, State: gossip.StateSuspect})
+}
+
+// TestManagerCloseCancelsLivenessSubscription: a closed manager must
+// not leave its event subscription registered in a monitor that
+// outlives it, or the dead subscription fills and every later
+// transition counts as a dropped event.
+func TestManagerCloseCancelsLivenessSubscription(t *testing.T) {
+	w := newWorld(t)
+	mon := liveness.NewMonitor(w.cat, liveness.Options{
+		CheckInterval: time.Hour, // transitions fed by hand only
+		MinSuspect:    time.Hour,
+		MaxSuspect:    2 * time.Hour,
+	})
+	t.Cleanup(mon.Close)
+	m := w.manager("rm-closed")
+	m.UseLiveness(mon)
+	m.Close()
+
+	host := naming.HostURL("churn")
+	for seq := uint64(1); seq <= 200; seq++ {
+		state := gossip.StateSuspect
+		if seq%2 == 0 {
+			state = gossip.StateAlive
+		}
+		mon.ObserveGossip(gossip.Update{Host: host, Inc: 1, Seq: seq, State: state})
+	}
+	if got := mon.Metrics().Counter("transitions_suspect").Value(); got != 100 {
+		t.Fatalf("transitions_suspect = %d, want 100", got)
+	}
+	if got := mon.Metrics().Counter("liveness_events_dropped").Value(); got != 0 {
+		t.Fatalf("liveness_events_dropped = %d after the manager closed, want 0", got)
 	}
 }

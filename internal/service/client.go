@@ -44,8 +44,8 @@ type ClientConfig struct {
 // Balancing is pick-lowest-score with jitter: a replica's score is the
 // client's own EWMA of observed call latency, blended with the comm
 // layer's per-route EWMA history for the replica's registered routes
-// (RTT, error rate), multiplied by 1+load from the replica host's
-// heartbeat. Replicas whose hosts the liveness monitor holds Suspect,
+// (RTT, error rate), multiplied by 1+load as liveness.HostLoad reads
+// it for the replica's host. Replicas whose hosts the liveness monitor holds Suspect,
 // Dead or Left are skipped outright. The ±10% jitter keeps a fleet of
 // clients from stampeding the single momentarily-cheapest replica.
 //

@@ -12,10 +12,10 @@
 //     Joining and leaving a group are ordinary catalog writes, visible
 //     through the same client read cache every other lookup uses.
 //   - Load and liveness are NOT republished per service; a replica's
-//     process URN names its host, and the host's existing heartbeat
-//     (one replicated write per beat, see internal/liveness) already
-//     carries both. A service with ten replicas on ten hosts costs ten
-//     assertions total, not ten extra write streams.
+//     process URN names its host, and the host's gossip claims (one
+//     digest write per group per interval, see internal/liveness)
+//     already carry both. A service with ten replicas on ten hosts
+//     costs ten assertions total, not ten extra write streams.
 //   - Requests and responses ride comm's stream layer, so a large
 //     response is chunked, flow-controlled and — at stream chunk size —
 //     striped across every healthy route to the replica.
@@ -23,7 +23,7 @@
 // Balancing is client-side and liveness-aware: the Client subscribes
 // to a liveness.Monitor and drops replicas on suspect/dead hosts from
 // rotation before their requests can fail, weights the rest by the
-// advertised heartbeat load and by the comm layer's per-route EWMA
+// advertised host load and by the comm layer's per-route EWMA
 // score history, and retries a failed call on a different replica. A
 // replica leaving (drain, migration, crash) therefore costs clients a
 // retry at worst, and usually nothing.

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"snipe/internal/comm"
+	"snipe/internal/gossip"
 	"snipe/internal/liveness"
 	"snipe/internal/naming"
 	"snipe/internal/rcds"
@@ -45,16 +46,18 @@ func (w *world) endpoint(urn string) *comm.Endpoint {
 	return ep
 }
 
-// heartbeats publishes a host's liveness every interval until stopped.
+// heartbeats publishes a host's load once and an alive gossip claim,
+// at a fixed incarnation and a rising sequence, every interval until
+// stopped.
 func (w *world) heartbeats(host string, load float64, interval time.Duration) (stop func()) {
 	done := make(chan struct{})
 	var once sync.Once
 	hostURL := naming.HostURL(host)
-	var seq uint64
+	w.cat.Set(hostURL, rcds.AttrLoad, fmt.Sprintf("%.2f", load))
+	claim := gossip.Update{Host: hostURL, Inc: 1, State: gossip.StateAlive, Load: load}
 	beat := func() {
-		seq++
-		hb := liveness.Heartbeat{Seq: seq, Time: time.Now().UnixNano(), Load: load}
-		w.cat.Set(hostURL, rcds.AttrHeartbeat, hb.String())
+		claim.Seq++
+		w.cat.Set(hostURL, rcds.AttrHeartbeat, gossip.FormatClaim(claim))
 	}
 	beat()
 	go func() {
@@ -83,6 +86,25 @@ func (w *world) monitor() *liveness.Monitor {
 	})
 	w.t.Cleanup(mon.Close)
 	return mon
+}
+
+// suspect feeds the monitor a gossip suspicion of host — the intake
+// every production verdict takes — at the incarnation it tracks. The
+// claim's sequence runs far ahead of the host's own, so an alive claim
+// still in flight cannot refute it.
+func (w *world) suspect(mon *liveness.Monitor, host string) {
+	w.t.Helper()
+	var cur liveness.Info
+	waitFor(w.t, 2*time.Second, func() bool {
+		for _, info := range mon.Snapshot() {
+			if info.Host == host && info.Inc > 0 {
+				cur = info
+				return true
+			}
+		}
+		return false
+	}, "monitor never tracked "+host)
+	mon.ObserveGossip(gossip.Update{Host: host, Inc: cur.Inc, Seq: cur.Seq + 1<<20, State: gossip.StateSuspect})
 }
 
 // echoReplica runs one echo replica of svc on host; the handler reads
@@ -362,7 +384,7 @@ func TestBalancerSkipsSuspectHosts(t *testing.T) {
 	// A still-beating host shrugs suspicion off (the next heartbeat
 	// recovers it), so silence the host before injecting evidence.
 	stop2()
-	mon.MarkSuspect(naming.HostURL("b2"), "test evidence")
+	w.suspect(mon, naming.HostURL("b2"))
 	waitFor(t, 2*time.Second, func() bool {
 		c, err := cli.Candidates()
 		return err == nil && len(c) == 1 && c[0] == r1
@@ -370,7 +392,7 @@ func TestBalancerSkipsSuspectHosts(t *testing.T) {
 
 	// Suspecting every host empties the rotation.
 	stop1()
-	mon.MarkSuspect(naming.HostURL("b1"), "test evidence")
+	w.suspect(mon, naming.HostURL("b1"))
 	waitFor(t, 2*time.Second, func() bool {
 		_, err := cli.Candidates()
 		return errors.Is(err, ErrNoReplicas)
